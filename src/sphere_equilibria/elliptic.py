@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ import scipy.special
 
 from ._rng import stream
 from .errors import DomainError, NumericalError, ParameterError
-from .quadrature import gauss_legendre, log_quad
+from .quadrature import log_quad
 
 __all__ = [
     "EllipticParams",
@@ -178,164 +177,65 @@ def hermite_tau(k: int, tau: float, x):
     return h_cur if h_cur.ndim else float(h_cur)
 
 
-def _psi_hat_scan(n_top: int, tau: float, xs: np.ndarray,
-                  want: frozenset[int], rho1_upto: int = -1):
-    """Scaled oscillator functions psi_hat_k = exp(-x^2/(2(1+tau))) h_k/sqrt(k!).
+def _psi_hat_scan(n: int, tau: float, xs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over psi_hat_k = exp(-x^2/(2(1+tau))) h_k/sqrt(k!), k <= n-1.
 
     Runs the normalized recurrence
-    ``hhat_{k+1} = (x hhat_k - tau sqrt(k) hhat_{k-1}) / sqrt(k+1)`` up to
-    k = n_top, carrying a per-point scale exponent so intermediate values
-    never leave the double range.
+    ``hhat_{k+1} = (x hhat_k - tau sqrt(k) hhat_{k-1}) / sqrt(k+1)``, carrying
+    a per-point scale exponent so intermediate values never leave the double
+    range.  Along the way it accumulates the antiderivative
+    ``Ihat_k(x) = int_0^x psi_hat_k`` by the closed three-term recurrence
 
-    Returns (dict k -> (sign, log|psi_hat_k|), log sum_{k<=rho1_upto} psi_hat_k^2).
+        Ihat_0     = sqrt(pi (1+tau)/2) erf(x / sqrt(2 (1+tau)))
+        Ihat_{k+1} = sqrt(k/(k+1)) Ihat_{k-1}
+                     - (1+tau)/sqrt(k+1) (psi_hat_k(x) - psi_hat_k(0)),
+
+    which follows from ``h_k' = k h_{k-1}`` by integrating against the
+    Gaussian weight.  Only odd k are stepped (n is even), where h_k is odd and
+    psi_hat_k(0) = 0; the coefficient sqrt(k/(k+1)) < 1 keeps the forward
+    recurrence stable, and psi_hat_k is bounded by ~1 for every tau in
+    (-1, 1), so Ihat is summed in linear scale.
+
+    Returns (log sum_{k<=n-2} psi_hat_k^2, sign and log|psi_hat_{n-1}|,
+    Ihat_{n-2}).
     """
     xs = np.asarray(xs, dtype=float)
-    gauss_log = -xs * xs / (2.0 * (1.0 + tau))
+    c = 1.0 + tau
+    gauss_log = -xs * xs / (2.0 * c)
     a_prev = np.zeros_like(xs)
     a_cur = np.ones_like(xs)
     scale_log = np.zeros_like(xs)
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    run_max = np.full_like(xs, -np.inf)
-    run_sum = np.zeros_like(xs)
+    # sum_k psi_hat_k^2 = exp(log_done) + part * exp(2 (scale_log + gauss_log));
+    # part is folded into log_done whenever a point is rescaled, so it holds
+    # at most n terms below 1e200 each and cannot overflow
+    part = np.zeros_like(xs)
+    log_done = np.full_like(xs, -np.inf)
+    anti = math.sqrt(0.5 * math.pi * c) * scipy.special.erf(xs / math.sqrt(2.0 * c))
 
-    for k in range(n_top + 1):
-        with np.errstate(divide="ignore"):
-            lg = np.log(np.abs(a_cur)) + scale_log + gauss_log
-        if k <= rho1_upto:
-            term = 2.0 * lg
-            bigger = term > run_max
-            with np.errstate(invalid="ignore"):
-                run_sum = np.where(
-                    bigger,
-                    run_sum * np.exp(np.minimum(run_max - term, 0.0)) + 1.0,
-                    run_sum + np.exp(np.minimum(term - run_max, 0.0)))
-            run_max = np.maximum(run_max, term)
-        if k in want:
-            out[k] = (np.sign(a_cur), lg)
-        a_prev, a_cur = a_cur, (xs * a_cur - tau * np.sqrt(k) * a_prev) / np.sqrt(k + 1.0)
+    for k in range(n - 1):
+        part += a_cur * a_cur
+        if k % 2:
+            psi_k = a_cur * np.exp(scale_log + gauss_log)
+            anti = math.sqrt(k / (k + 1.0)) * anti - c / math.sqrt(k + 1.0) * psi_k
+        a_prev, a_cur = a_cur, (xs * a_cur - tau * math.sqrt(k) * a_prev) / math.sqrt(k + 1.0)
         # rescale both carried values when they leave a safe magnitude band
         m = np.maximum(np.abs(a_prev), np.abs(a_cur))
-        adjust = (m > 1e100) | ((m > 0.0) & (m < 1e-100))
-        fac = np.where(adjust, m, 1.0)
-        a_prev = a_prev / fac
-        a_cur = a_cur / fac
-        scale_log = scale_log + np.log(fac)
+        i = np.flatnonzero((m > 1e100) | ((m > 0.0) & (m < 1e-100)))
+        if i.size:
+            fac = m[i]
+            with np.errstate(divide="ignore"):
+                log_done[i] = np.logaddexp(
+                    log_done[i], np.log(part[i]) + 2.0 * (scale_log[i] + gauss_log[i]))
+            part[i] = 0.0
+            a_prev[i] /= fac
+            a_cur[i] /= fac
+            scale_log[i] += np.log(fac)
 
     with np.errstate(divide="ignore"):
-        rho1_log = run_max + np.log(run_sum)
-    return out, rho1_log
-
-
-def _psi_hat_values(k: int, tau: float, xs: np.ndarray) -> np.ndarray:
-    """psi_hat_k in linear scale (bounded by ~1 for all tau in (-1, 1])."""
-    got, _ = _psi_hat_scan(k, tau, xs, frozenset({k}))
-    sign, lg = got[k]
-    return sign * np.exp(lg)
-
-
-class _PsiHatAntiderivative:
-    """Cached cumulative integral ``Ihat(x) = int_0^x psi_hat_{n-2}(u) du``.
-
-    Built once per (n, tau) as adaptive Gauss-Legendre panels on [0, xmax],
-    extended lazily; panels are bisected until the two-half refinement changes
-    a panel by less than `tol` of the running maximum of |Ihat|.  psi_hat_{n-2}
-    is even (n even), so the antiderivative is odd and only x >= 0 is stored.
-    """
-
-    _ORDER = 16
-
-    def __init__(self, n: int, tau: float, tol: float = 1e-12):
-        self.n = n
-        self.tau = tau
-        self.tol = tol
-        self.edges = np.array([0.0])
-        self.prefix = np.array([0.0])
-        self._scale = 1e-2  # refreshed from the built prefix
-        self._lock = threading.RLock()  # guards lazy panel extension
-
-    def _f(self, u: np.ndarray) -> np.ndarray:
-        return _psi_hat_values(self.n - 2, self.tau, u)
-
-    def _panel_sums(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        xi, w = gauss_legendre(self._ORDER)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * xi[None, :]
-        vals = self._f(nodes.ravel()).reshape(nodes.shape)
-        return half * (vals @ w)
-
-    def _build(self, lo0: float, hi0: float) -> tuple[np.ndarray, np.ndarray]:
-        """Adaptively integrate over [lo0, hi0]; return (panel_edges, panel_sums)."""
-        width = max(0.25 * (1.0 + self.tau) / math.sqrt(self.n), 1e-3)
-        count = max(int(math.ceil((hi0 - lo0) / width)), 4)
-        edges = np.linspace(lo0, hi0, count + 1)
-        lo, hi = edges[:-1], edges[1:]
-        parent = self._panel_sums(lo, hi)
-        done_lo, done_hi, done_val = [], [], []
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            left = self._panel_sums(lo, mid)
-            right = self._panel_sums(mid, hi)
-            err = np.abs(parent - left - right)
-            ok = err <= self.tol * self._scale
-            done_lo.append(np.concatenate([lo[ok], mid[ok]]))
-            done_hi.append(np.concatenate([mid[ok], hi[ok]]))
-            done_val.append(np.concatenate([left[ok], right[ok]]))
-            if np.all(ok):
-                break
-            keep = ~ok
-            lo = np.concatenate([lo[keep], mid[keep]])
-            hi = np.concatenate([mid[keep], hi[keep]])
-            parent = np.concatenate([left[keep], right[keep]])
-        else:  # pragma: no cover - defensive
-            raise NumericalError("antiderivative panels failed to converge")
-        plo = np.concatenate(done_lo)
-        order = np.argsort(plo)
-        return np.concatenate(done_lo)[order], np.concatenate(done_val)[order]
-
-    def _extend(self, xmax: float) -> None:
-        if xmax <= self.edges[-1]:
-            return
-        lo0 = float(self.edges[-1])
-        hi0 = float(xmax) * 1.0625 + 1e-9
-        plo, pval = self._build(lo0, hi0)
-        # panels partition [lo0, hi0]: right edges are the next left edges
-        uppers = np.append(plo[1:], hi0)
-        cum = self.prefix[-1] + np.cumsum(pval)
-        self.edges = np.concatenate([self.edges, uppers])
-        self.prefix = np.concatenate([self.prefix, cum])
-        self._scale = max(self._scale, float(np.abs(self.prefix).max()))
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        ax = np.abs(xs)
-        with self._lock:
-            if ax.size and float(ax.max()) > self.edges[-1]:
-                self._extend(float(ax.max()))
-            edges, prefix = self.edges, self.prefix
-        idx = np.searchsorted(edges, ax, side="right") - 1
-        idx = np.clip(idx, 0, len(edges) - 2)
-        left = edges[idx]
-        base = prefix[idx]
-        partial = np.zeros_like(ax)
-        has_tail = ax > left
-        if np.any(has_tail):
-            partial[has_tail] = self._panel_sums(left[has_tail], ax[has_tail])
-        return np.sign(xs) * (base + partial)
-
-
-_ANTIDERIVATIVE_CACHE: dict[tuple[int, float], _PsiHatAntiderivative] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _antiderivative(n: int, tau: float) -> _PsiHatAntiderivative:
-    key = (n, float(tau))
-    with _CACHE_LOCK:
-        if key not in _ANTIDERIVATIVE_CACHE:
-            if len(_ANTIDERIVATIVE_CACHE) > 64:
-                _ANTIDERIVATIVE_CACHE.clear()
-            _ANTIDERIVATIVE_CACHE[key] = _PsiHatAntiderivative(n, tau)
-        return _ANTIDERIVATIVE_CACHE[key]
+        rho1_log = np.logaddexp(log_done, np.log(part) + 2.0 * (scale_log + gauss_log))
+        log_top = np.log(np.abs(a_cur)) + scale_log + gauss_log
+    return rho1_log, np.sign(a_cur), log_top, anti
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +246,19 @@ def log_rho_real_exact(p: EllipticParams, x) -> np.ndarray:
     """log of the exact mean density of real eigenvalues at x (vectorized).
 
     The density splits into a positive Hermite-series part
-    ``(1/sqrt(2 pi)) sum_{k<=N-2} psi_k^2 / k!`` and a boundary part
-    ``sqrt(N-1)/(sqrt(2 pi)(1+tau)) psi_hat_{N-1}(x) int_0^x psi_hat_{N-2}``,
-    both assembled from scale-carrying recurrences so the result is finite in
-    log space for any x.
+    ``(1/sqrt(2 pi)) sum_{k<=N-2} psi_hat_k^2`` and a boundary part
+    ``sqrt(N-1)/(sqrt(2 pi)(1+tau)) psi_hat_{N-1}(x) int_0^x psi_hat_{N-2}``.
+    One `_psi_hat_scan` pass yields all three pieces; the integral comes from
+    the closed recurrence ``Ihat_{k+1} = sqrt(k/(k+1)) Ihat_{k-1}
+    - (1+tau)/sqrt(k+1) psi_hat_k(x)`` over odd k, started at the erf form of
+    Ihat_0.  Stateless, O(N) per point, and finite in log space for any x.
     """
     p.require_exact_density()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     n, tau = p.n, p.tau
 
-    got, rho1_log = _psi_hat_scan(n - 1, tau, xs, frozenset({n - 1}),
-                                  rho1_upto=n - 2)
+    rho1_log, sign_nm1, log_nm1, anti = _psi_hat_scan(n, tau, xs)
     rho1_log = rho1_log - math.log(_SQRT_2PI)
-    sign_nm1, log_nm1 = got[n - 1]
-
-    anti = _antiderivative(n, tau)(xs)
     coef_log = 0.5 * math.log(n - 1.0) - math.log(_SQRT_2PI) - math.log1p(tau)
     with np.errstate(divide="ignore"):
         rho2_log = coef_log + log_nm1 + np.log(np.abs(anti))

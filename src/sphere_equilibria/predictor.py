@@ -390,24 +390,16 @@ def _gauss_segment(u: float) -> float:
 def weak_nongradient(u: float, b2: float, n: int) -> float:
     """Mean count in the weakly non-gradient regime tau = 1 - u^2/N, b < 1.
 
-    ``4 e^{N ln(1/b)} sqrt(2 N b^2 / (pi (1-b^2))) int_0^1 e^{-u^2 p^2} dp``.
-    The equivalent form in terms of B = (1-b^2)/(1+b^2) is evaluated as well
-    and must agree to 1e-12 relative.
+    ``4 e^{N ln(1/b)} sqrt(2 N b^2 / (pi (1-b^2))) int_0^1 e^{-u^2 p^2} dp``,
+    equivalent to the form in B = (1-b^2)/(1+b^2),
+    ``4 e^{(N/2) ln((1+B)/(1-B))} sqrt(N (1-B)/(pi B)) int_0^1 e^{-u^2 p^2} dp``.
     """
     if u < 0:
         raise DomainError(f"u must be nonnegative, got {u}")
     if not (0.0 < b2 < 1.0):
         raise DomainError(f"weak non-gradient regime requires 0 < b^2 < 1, got {b2}")
-    seg = _gauss_segment(u)
-    v_b = (4.0 * math.exp(-0.5 * n * math.log(b2))
-           * math.sqrt(2.0 * n * b2 / (math.pi * (1.0 - b2))) * seg)
-    big_b = (1.0 - b2) / (1.0 + b2)
-    v_bb = (4.0 * math.exp(0.5 * n * math.log((1.0 + big_b) / (1.0 - big_b)))
-            * math.sqrt(n * (1.0 - big_b) / (math.pi * big_b)) * seg)
-    if not math.isclose(v_b, v_bb, rel_tol=1e-12):
-        raise ParameterError(
-            f"internal inconsistency between equivalent forms: {v_b} vs {v_bb}")
-    return v_b
+    return (4.0 * math.exp(-0.5 * n * math.log(b2))
+            * math.sqrt(2.0 * n * b2 / (math.pi * (1.0 - b2))) * _gauss_segment(u))
 
 
 def predict_asymptotic(dp: DerivedParams, n: int) -> CountPrediction:

@@ -24,19 +24,6 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def panel_integrals(f, lo: np.ndarray, hi: np.ndarray, order: int = 16) -> np.ndarray:
-    """Fixed-order Gauss-Legendre integral of `f` on each panel [lo_i, hi_i].
-
-    `f` must accept a flat array and return values of the same shape.
-    """
-    xi, w = gauss_legendre(order)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * xi[None, :]
-    vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    return half * (vals @ w)
-
-
 def _panel_log_integrals(logf, lo: np.ndarray, hi: np.ndarray,
                          order: int = 16) -> np.ndarray:
     """log of the Gauss-Legendre integral of exp(logf) on each panel."""

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from ._rng import derive_seed, stream
-from .errors import NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 from .field_model import FieldInstance, ModelParams, covariance_pair, sample_field
 from .predictor import derived_params, mean_total_exact, predict_asymptotic
 
@@ -88,11 +88,11 @@ def _expected_count(params: ModelParams) -> float:
         return 2.0 * params.n
     try:
         return mean_total_exact(dp, params.n).value
-    except Exception:
+    except (DomainError, ParameterError):
         pass
     try:
         return predict_asymptotic(dp, params.n).value
-    except Exception:
+    except (DomainError, ParameterError):
         return 2.0 * params.n
 
 

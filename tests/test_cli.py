@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sphere_equilibria
 from sphere_equilibria._rng import derive_seed
 from sphere_equilibria.cli import ExperimentConfig, main, parse_config, run
 from sphere_equilibria.errors import ParameterError
@@ -113,6 +117,26 @@ class TestRunner:
         assert code == 0
         text = (tmp_path / "out" / "predictions.csv").read_text()
         assert text == "N,tau,b2,sigma,regime,value,log_value\n"
+
+    def test_row_bytes_independent_of_other_rows(self, tmp_path):
+        # each sweep runs in a fresh interpreter, so no in-process state is
+        # shared; the N=100, sigma=2 rows must not depend on what ran before
+        src = os.path.dirname(os.path.dirname(sphere_equilibria.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def sigma2_rows(name, grid):
+            payload = {**MINIMAL_SWEEP, "sigma_grid": grid, "n_list": [100]}
+            path = write_config(tmp_path, payload, name + ".json")
+            subprocess.run([sys.executable, "-m", "sphere_equilibria.cli", "run",
+                            path, "--out-dir", str(tmp_path / name)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            lines = (tmp_path / name / "predictions.csv").read_bytes().splitlines()
+            return [ln for ln in lines if ln.split(b",")[3] == b"2.0"]
+
+        alone = sigma2_rows("alone", [2.0])
+        assert len(alone) == 2  # exact and asymptotic
+        assert sigma2_rows("after", [6.0, 2.0]) == alone
 
     def test_byte_reproducibility(self, tmp_path):
         payload = {"kind": "det-identity", "n": 4, "tau": 0.5,

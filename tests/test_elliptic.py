@@ -15,6 +15,7 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from sphere_equilibria.elliptic import (DensityProfile, EllipticParams,
+                                        _psi_hat_scan,
                                         expected_counts_in_bins,
                                         expected_real_count, hermite_tau,
                                         log_rho_real_exact, mean_real_count,
@@ -74,6 +75,33 @@ def rho_mpmath(n, tau, x, dps=40):
         rho2 = (psi(n - 1, xm) * integral
                 / (mp.sqrt(2 * mp.pi) * c * mp.factorial(n - 2)))
         return float(rho1 + rho2)
+
+
+def antiderivative_mpmath(n, tau, xs, dps=30, width=4.0):
+    """High-precision int_0^x psi_hat_{n-2}, integrated panel by panel.
+
+    One cumulative pass over the sorted |x|; the integral is odd in x.
+    """
+    k = n - 2
+    with mp.workdps(dps):
+        c = mp.mpf(1) + tau
+        log_norm = mp.log(mp.factorial(k)) / 2
+
+        def psi_hat(y):
+            hm, hk = mp.mpf(0), mp.mpf(1)
+            for j in range(k):
+                hm, hk = hk, y * hk - tau * j * hm
+            return hk * mp.e ** (-y * y / (2 * c) - log_norm)
+
+        cum, acc, lo = {0.0: mp.mpf(0)}, mp.mpf(0), 0.0
+        for hi in sorted({abs(float(x)) for x in xs}):
+            if hi > lo:
+                panels = max(int(math.ceil((hi - lo) / width)), 1)
+                acc += mp.quad(psi_hat, mp.linspace(lo, hi, panels + 1),
+                               method="gauss-legendre")
+            cum[hi], lo = acc, hi
+        return np.array([float(cum[abs(float(x))]) * (1.0 if x >= 0 else -1.0)
+                         for x in xs])
 
 
 class TestSampling:
@@ -186,6 +214,17 @@ class TestExactDensity:
         got = rho_real_exact(EllipticParams(n, tau), x)
         want = rho_mpmath(n, tau, x)
         assert_allclose(got, want, rtol=1e-8)
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.455, 0.9])
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_antiderivative_recurrence_mpmath(self, n, tau):
+        # origin, bulk, beyond the edge (1+tau) sqrt(N), and negative x
+        edge = (1.0 + tau) * math.sqrt(n)
+        xs = np.array([0.0, 0.37 * edge, -0.81 * edge, 1.2 * edge, -1.2 * edge])
+        got = _psi_hat_scan(n, tau, xs)[3]
+        want = antiderivative_mpmath(n, tau, xs)
+        assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert got[0] == 0.0 and got[3] == -got[4]
 
     def test_symmetry(self):
         p = EllipticParams(8, 0.4)

@@ -91,6 +91,15 @@ class TestExactCounts:
         i = mean_in_interval(dp, 6, -math.inf, math.inf)
         assert_allclose(t.value, i.value, rtol=1e-10)
 
+    @pytest.mark.parametrize("b2", [0.8, 1.5])
+    def test_total_equals_full_interval_at_n2000(self, b2):
+        # both routes evaluate the density far past where the raw Hermite
+        # polynomials overflow
+        dp = dp_for(0.455, b2)
+        t = mean_total_exact(dp, 2000)
+        i = mean_in_interval(dp, 2000, -math.inf, math.inf)
+        assert abs(t.log_value - i.log_value) < 1e-10
+
     def test_half_line_is_half_total(self):
         dp = dp_for(0.3, 0.7)
         t = mean_total_exact(dp, 4)
@@ -246,19 +255,31 @@ class TestCrossovers:
             crossover_kappa(1.0, 1.0)
 
 
+def weak_nongradient_big_b_form(u, b2, n):
+    """The weak non-gradient count written in B = (1 - b^2)/(1 + b^2)."""
+    big_b = (1 - b2) / (1 + b2)
+    seg = 1.0 if u == 0 else math.sqrt(math.pi) / (2 * u) * math.erf(u)
+    return (4 * math.exp(0.5 * n * math.log((1 + big_b) / (1 - big_b)))
+            * math.sqrt(n * (1 - big_b) / (math.pi * big_b)) * seg)
+
+
 class TestWeakNongradient:
     def test_gradient_limit_equals_big_b_form(self):
         # u = 0: both equivalent forms reduce to the pure-gradient expression
-        n, b2 = 40, 0.5
-        val = weak_nongradient(0.0, b2, n)
-        big_b = (1 - b2) / (1 + b2)
-        want = (4 * math.exp(0.5 * n * math.log((1 + big_b) / (1 - big_b)))
-                * math.sqrt(n * (1 - big_b) / (math.pi * big_b)))
-        assert_allclose(val, want, rtol=1e-12)
+        assert_allclose(weak_nongradient(0.0, 0.5, 40),
+                        weak_nongradient_big_b_form(0.0, 0.5, 40), rtol=1e-12)
 
     def test_forms_agree_at_u2(self):
-        # raises internally if the two forms drift past 1e-12 relative
-        weak_nongradient(2.0, 0.5, 40)
+        assert_allclose(weak_nongradient(2.0, 0.5, 40),
+                        weak_nongradient_big_b_form(2.0, 0.5, 40), rtol=1e-12)
+
+    def test_forms_agree_on_grid(self):
+        for u in (0.0, 0.3, 5.0):
+            for b2 in (0.1, 0.5, 0.9):
+                for n in (2, 20, 200):
+                    assert_allclose(weak_nongradient(u, b2, n),
+                                    weak_nongradient_big_b_form(u, b2, n),
+                                    rtol=1e-12)
 
     def test_large_u_scaling(self):
         # integral -> sqrt(pi)/(2u): value scales as 1/u

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sphere_equilibria import search
 from sphere_equilibria.elliptic import real_eigenvalues
-from sphere_equilibria.errors import ParameterError
+from sphere_equilibria.errors import NumericalError, ParameterError
 from sphere_equilibria.field_model import ModelParams, sample_field
-from sphere_equilibria.search import (SolverOptions, find_equilibria,
-                                      mc_mean_count, mc_result_to_csv,
-                                      save_count_report_json,
+from sphere_equilibria.search import (SolverOptions, default_n_starts,
+                                      find_equilibria, mc_mean_count,
+                                      mc_result_to_csv, save_count_report_json,
                                       tangent_spectrum)
 
 
@@ -162,6 +163,22 @@ class TestReportInvariants:
         assert rep.n_found >= 2
         for pt in rep.points:
             assert np.max(np.abs(pt.tangent_spectrum.imag)) < 1e-8
+
+
+class TestStartBudget:
+    PARAMS = dict(j1=1.0, j2=1.0, alpha1=0.3, alpha2=0.2, sigma=1.0)
+
+    def test_numerical_error_propagates(self, monkeypatch):
+        def fail(dp, n):
+            raise NumericalError("quadrature did not converge")
+
+        monkeypatch.setattr(search, "mean_total_exact", fail)
+        with pytest.raises(NumericalError):
+            default_n_starts(ModelParams(n=4, **self.PARAMS))
+
+    def test_odd_n_falls_back_to_asymptote(self):
+        # the exact count needs even N; the DomainError routes to the asymptote
+        assert 64 <= default_n_starts(ModelParams(n=5, **self.PARAMS)) <= 10_000
 
 
 class TestMCCount:
