@@ -187,7 +187,7 @@ def parse_config(path, strict: bool = False) -> ExperimentConfig:
         raise ParameterError(f"unknown config keys for {kind}: {', '.join(unknown)}")
     seed = _opt(raw, "seed", int, 0, "config")
     out_dir = _opt(raw, "out_dir", str, None, "config")
-    payload = _NORMALIZERS[kind](raw)
+    payload = _EXPERIMENTS[kind][0](raw)
     return ExperimentConfig(kind=kind, payload=payload, seed=seed,
                             out_dir=out_dir, unknown_keys=unknown)
 
@@ -298,16 +298,6 @@ def _norm_transition(raw: dict) -> dict:
             "mc_instances": mc_instances, "solver": _solver_dict(solver)}
 
 
-_NORMALIZERS = {
-    "predict-sweep": _norm_predict_sweep,
-    "mc-count": _norm_mc_count,
-    "spectra-validate": _norm_spectra,
-    "det-identity": _norm_det_identity,
-    "dynamics": _norm_dynamics,
-    "transition-curve": _norm_transition,
-}
-
-
 # ---------------------------------------------------------------------------
 # atomic artifact emission
 # ---------------------------------------------------------------------------
@@ -345,7 +335,8 @@ def write_json(path: str, payload: dict) -> None:
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def _run_predict_sweep(cfg: ExperimentConfig, out: str, threads: int) -> dict:
+def _run_predict_sweep(cfg: ExperimentConfig, out: str, threads: int,
+                       strict: bool) -> dict:
     m = cfg.payload["model"]
     rows = []
     for n in cfg.payload["n_list"]:
@@ -423,7 +414,8 @@ def _run_mc_count(cfg: ExperimentConfig, out: str, threads: int,
     return summary
 
 
-def _run_spectra_validate(cfg: ExperimentConfig, out: str, threads: int) -> dict:
+def _run_spectra_validate(cfg: ExperimentConfig, out: str, threads: int,
+                          strict: bool) -> dict:
     p = EllipticParams(cfg.payload["n"], cfg.payload["tau"])
     seed = derive_seed(cfg.seed, "spectra-validate")
     trials, bins = cfg.payload["trials"], cfg.payload["bins"]
@@ -457,7 +449,8 @@ def _run_spectra_validate(cfg: ExperimentConfig, out: str, threads: int) -> dict
     return summary
 
 
-def _run_det_identity(cfg: ExperimentConfig, out: str, threads: int) -> dict:
+def _run_det_identity(cfg: ExperimentConfig, out: str, threads: int,
+                      strict: bool) -> dict:
     seed = derive_seed(cfg.seed, "det-identity")
     rows = []
     zmax = 0.0
@@ -476,7 +469,8 @@ def _run_det_identity(cfg: ExperimentConfig, out: str, threads: int) -> dict:
     return summary
 
 
-def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int) -> dict:
+def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int,
+                  strict: bool) -> dict:
     params = ModelParams.from_dict(cfg.payload["model"])
     iseed = cfg.payload["instance_seed"]
     if iseed is None:
@@ -561,6 +555,17 @@ def _run_transition_curve(cfg: ExperimentConfig, out: str, threads: int,
     return summary
 
 
+# kind -> (config normalizer, experiment body)
+_EXPERIMENTS = {
+    "predict-sweep": (_norm_predict_sweep, _run_predict_sweep),
+    "mc-count": (_norm_mc_count, _run_mc_count),
+    "spectra-validate": (_norm_spectra, _run_spectra_validate),
+    "det-identity": (_norm_det_identity, _run_det_identity),
+    "dynamics": (_norm_dynamics, _run_dynamics),
+    "transition-curve": (_norm_transition, _run_transition_curve),
+}
+
+
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
@@ -571,18 +576,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
     out = out_dir or cfg.out_dir or f"{cfg.kind}-out"
     os.makedirs(out, exist_ok=True)
     t0 = time.time()
-    if cfg.kind == "predict-sweep":
-        summary = _run_predict_sweep(cfg, out, threads)
-    elif cfg.kind == "mc-count":
-        summary = _run_mc_count(cfg, out, threads, strict)
-    elif cfg.kind == "spectra-validate":
-        summary = _run_spectra_validate(cfg, out, threads)
-    elif cfg.kind == "det-identity":
-        summary = _run_det_identity(cfg, out, threads)
-    elif cfg.kind == "dynamics":
-        summary = _run_dynamics(cfg, out, threads)
-    else:
-        summary = _run_transition_curve(cfg, out, threads, strict)
+    summary = _EXPERIMENTS[cfg.kind][1](cfg, out, threads, strict)
     manifest = {
         "kind": cfg.kind,
         "config": cfg.canonical(),

@@ -259,6 +259,9 @@ class FieldInstance:
         """Coupling field f(x); accepts a single point (N,) or a batch (..., N).
 
         ``f_k = sum_j J1_kj x_j + sum_{nm} J2_knm x_n x_m`` (no magnetic term).
+        The quadratic term is contracted on an (N, ...) copy of x, so the batch
+        axis is numpy's inner loop; the (n, m) summation order, and with it
+        every bit, is that of ``einsum("knm,...n,...m->...k", J2, x, x)``.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n:
@@ -266,8 +269,10 @@ class FieldInstance:
         if not np.all(np.isfinite(x)):
             raise ParameterError("x must be finite")
         lin = x @ self.j1_matrix.T
-        quad = np.einsum("knm,...n,...m->...k", self.j2_tensor, x, x)
-        return lin + quad
+        xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        lin += np.moveaxis(
+            np.einsum("knm,n...,m...->k...", self.j2_tensor, xt, xt), 0, -1)
+        return lin
 
     def eval_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Jacobian K_kl = d f_k / d x_l at x (batched like eval_field)."""

@@ -6,9 +6,13 @@ An equilibrium is a pair (x, lam) solving the bordered system
 
 All starts are advanced simultaneously: the batched (N+1)-dimensional Newton
 step uses the analytic field Jacobian plus the bordering row/column, damped by
-residual-monotone step halving.  Converged starts are deduplicated by
-Euclidean distance in x (lam is a function of x at a root), and a saturation
-heuristic flags instances whose discovery curve was still rising.
+residual-monotone step halving.  A row whose full step fails the Armijo test
+tries the halving levels t = 2^-k lazily, in doubling blocks of levels
+(1-2, 3-6, 7-14, ... up to `max_halvings`), and leaves at the first block that
+holds an accepted level.  Converged starts are deduplicated in start order by
+Euclidean distance in x (lam is a function of x at a root), one vectorized
+pass per root, and a saturation heuristic flags instances whose discovery
+curve was still rising.
 """
 
 from __future__ import annotations
@@ -169,26 +173,30 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
         rhs = np.concatenate([-f[idx], -c[idx, None]], axis=1)
         delta = _solve_batch(a_mat, rhs)
 
-        # damped update: full step first, then batched blocks of halving
-        # levels for the rows still searching for a step size
+        # damped update: the full step first, then the halving levels
+        # t = 2^-k in doubling blocks 1-2, 3-6, 7-14, ... (capped at
+        # max_halvings); a row leaves at the first block holding a level that
+        # passes the Armijo test and takes the first such level.  Every block
+        # has two or more levels, so no candidate batch is a single row:
+        # numpy sends a one-row product to BLAS gemv, whose rounding differs
+        # from the gemm that evaluates every larger batch.
         xt, lt = xa + delta[:, :n], la + delta[:, n]
         ft, ct, rt = _system_residual(inst, xt, lt)
         accepted = rt <= (1.0 - 1e-4) * ra
         rem = np.flatnonzero(~accepted)
-        for lo_level, hi_level in ((1, 8), (9, opts.max_halvings)):
-            if rem.size == 0 or hi_level < lo_level:
-                continue
-            tgrid = 0.5 ** np.arange(lo_level, hi_level + 1)
+        lo_level, hi_level = 1, 2
+        while rem.size and lo_level <= opts.max_halvings:
+            tgrid = 0.5 ** np.arange(lo_level,
+                                     min(hi_level, opts.max_halvings) + 1)
             cand_x = xa[rem, None, :] + tgrid[None, :, None] * delta[rem, None, :n]
             cand_l = la[rem, None] + tgrid[None, :] * delta[rem, None, n]
             fc, cc, rc = _system_residual(
                 inst, cand_x.reshape(-1, n), cand_l.ravel())
             rc = rc.reshape(rem.size, -1)
             ok = rc <= (1.0 - 1e-4 * tgrid[None, :]) * ra[rem, None]
-            first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
-            took = first >= 0
+            took = ok.any(axis=1)
             rows = rem[took]
-            sel = first[took]
+            sel = ok[took].argmax(axis=1)
             xt[rows] = cand_x[took, sel, :]
             lt[rows] = cand_l[took, sel]
             ft[rows] = fc.reshape(rem.size, len(tgrid), n)[took, sel]
@@ -196,6 +204,7 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
             rt[rows] = rc[took, sel]
             accepted[rows] = True
             rem = rem[~took]
+            lo_level, hi_level = hi_level + 1, 2 * hi_level + 2
         x[idx[accepted]] = xt[accepted]
         lam[idx[accepted]] = lt[accepted]
         f[idx[accepted]] = ft[accepted]
@@ -207,23 +216,11 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
     converged |= newly
 
     # deduplicate in start order (discovery order drives the saturation flag)
-    reps: list[int] = []
-    hits: list[int] = []
-    last_new = -1
     conv_idx = np.flatnonzero(converged)
-    for i in conv_idx:
-        assigned = False
-        for j, r in enumerate(reps):
-            if np.linalg.norm(x[i] - x[r]) <= radius:
-                hits[j] += 1
-                assigned = True
-                break
-        if not assigned:
-            reps.append(int(i))
-            hits.append(1)
-            last_new = int(i)
+    reps, hits = _dedup(x[conv_idx], radius)
+    reps = conv_idx[reps].tolist()
     saturated = (len(conv_idx) > 0
-                 and last_new < (1.0 - opts.saturation_fraction) * n_starts)
+                 and reps[-1] < (1.0 - opts.saturation_fraction) * n_starts)
 
     points = []
     for r, hit in zip(reps, hits):
@@ -237,6 +234,27 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
                        dedup_radius=radius, saturated=bool(saturated),
                        seed=opts.seed,
                        n_converged_starts=int(converged.sum()))
+
+
+def _dedup(xs: np.ndarray, radius: float) -> tuple[list[int], list[int]]:
+    """Cluster points in order: (representative indices, hits per cluster).
+
+    The earliest unassigned point founds a cluster and claims every later
+    unassigned point within `radius` of it.  A point therefore joins the
+    earliest representative within reach, and the last representative is the
+    last point that matched none before it.
+    """
+    free = np.ones(len(xs), dtype=bool)
+    reps: list[int] = []
+    hits: list[int] = []
+    while free.any():
+        i = int(free.argmax())
+        near = free & (np.linalg.norm(xs - xs[i], axis=1) <= radius)
+        near[i] = True
+        free &= ~near
+        reps.append(i)
+        hits.append(int(near.sum()))
+    return reps, hits
 
 
 def _solve_batch(a_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -96,7 +96,42 @@ class TestEvalField:
         xs = np.array([sphere_point(4, s) for s in range(7)])
         batched = inst.eval_field(xs)
         for i in range(7):
+            # a one-row product goes through BLAS gemv, whose rounding of the
+            # linear term can differ from a batch's gemm in the last bits;
+            # batches of two or more rows agree bit for bit
+            # (test_sub_batches_bit_equal)
             assert_allclose(batched[i], inst.eval_field(xs[i]), rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 10])
+    def test_bit_equal_to_reference_contraction(self, n):
+        inst = sample_field(ModelParams(n=n, j1=1.0, j2=1.0, alpha1=0.4,
+                                        alpha2=-0.3), n)
+        rng = np.random.default_rng(n)
+        for shape in [(n,), (1, n), (7, n), (3000, n), (2, 5, n)]:
+            x = 2.0 * rng.standard_normal(shape)
+            want = (x @ inst.j1_matrix.T
+                    + np.einsum("knm,...n,...m->...k", inst.j2_tensor, x, x))
+            got = inst.eval_field(x)
+            assert got.shape == shape and got.flags.c_contiguous
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 10])
+    def test_sub_batches_bit_equal(self, n):
+        # the Newton line search evaluates a row in batches of varying size
+        inst = sample_field(ModelParams(n=n, j1=1.0, j2=1.0, alpha1=0.4,
+                                        alpha2=-0.3), n)
+        x = np.random.default_rng(n).standard_normal((3000, n))
+        big = inst.eval_field(x)
+        for size in (2, 3, 7, 64, 1000):
+            for lo in (0, 1, 1234, 3000 - size):
+                assert_array_equal(inst.eval_field(x[lo:lo + size]),
+                                   big[lo:lo + size])
+        # with no linear term a single row is bit-equal too
+        quad = sample_field(ModelParams(n=n, j1=0.0, j2=1.0, alpha2=-0.3), n)
+        big = quad.eval_field(x)
+        for i in (0, 17, 2999):
+            assert_array_equal(quad.eval_field(x[i]), big[i])
+            assert_array_equal(quad.eval_field(x[i:i + 1]), big[i:i + 1])
 
     def test_dimension_mismatch(self):
         inst = sample_field(ModelParams(n=4, j1=1.0), 1)

@@ -165,6 +165,77 @@ class TestReportInvariants:
             assert np.max(np.abs(pt.tangent_spectrum.imag)) < 1e-8
 
 
+class TestPinnedOutputs:
+    """Integer outputs of fixed instances, recorded before the lazy line
+    search, the batch-innermost field contraction and the vectorized dedup
+    replaced their predecessors; all three must keep them bit for bit."""
+
+    @pytest.mark.parametrize("n, sigma, seed, n_found, hits, n_conv", [
+        (4, 0.0, 11, 8, [96, 86, 62, 69, 162, 133, 56, 103], 767),
+        (4, 1.0392304845413265, 12, 4, [224, 78, 53, 81], 436),
+        (8, 0.0, 13, 14, [62, 63, 168, 110, 159, 134, 94, 133, 103, 132, 86,
+                          66, 111, 42], 1463),
+    ])
+    def test_counts_hits_and_saturation(self, n, sigma, seed, n_found, hits,
+                                        n_conv):
+        # sigma = 1.039... is sigma_c of this model
+        p = ModelParams(n=n, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma)
+        rep = find_equilibria(sample_field(p, seed), SolverOptions(seed=seed))
+        assert rep.n_found == n_found
+        assert [pt.basin_hits for pt in rep.points] == hits
+        assert rep.n_converged_starts == n_conv
+        assert rep.saturated
+
+
+def dedup_by_pairs(xs, radius):
+    """Reference dedup: each point joins the first earlier representative
+    within `radius`, or becomes a representative itself."""
+    reps, hits = [], []
+    for i, x in enumerate(xs):
+        for j, r in enumerate(reps):
+            if np.linalg.norm(x - xs[r]) <= radius:
+                hits[j] += 1
+                break
+        else:
+            reps.append(i)
+            hits.append(1)
+    return reps, hits
+
+
+class TestDedup:
+    R = 1e-3
+
+    def test_chain_gives_two_clusters(self):
+        # a-b and b-c are 0.8r apart, a-c 1.6r: b joins a, c founds a cluster
+        xs = np.array([[0.0, 0.0], [0.8, 0.0], [1.6, 0.0]]) * self.R
+        assert search._dedup(xs, self.R) == ([0, 2], [2, 1])
+
+    def test_point_near_two_representatives_joins_the_earlier(self):
+        xs = np.array([[0.0, 0.0], [1.5, 0.0], [0.75, 0.1]]) * self.R
+        assert search._dedup(xs, self.R) == ([0, 1], [2, 1])
+
+    def test_matches_pairwise_reference(self):
+        rng = np.random.default_rng(3)
+        centres = rng.standard_normal((9, 4))
+        labels = rng.integers(0, 9, 2000)
+        xs = centres[labels] + 1e-2 * self.R * rng.standard_normal((2000, 4))
+        reps, hits = search._dedup(xs, self.R)
+        assert (reps, hits) == dedup_by_pairs(xs, self.R)
+        # one cluster per centre, founded by its first point; the last
+        # representative is the last discovery of a new cluster
+        _, first, counts = np.unique(labels, return_index=True,
+                                     return_counts=True)
+        order = np.argsort(first)
+        assert reps == first[order].tolist()
+        assert hits == counts[order].tolist()
+        assert sum(hits) == len(xs)
+
+    def test_empty_and_zero_radius(self):
+        assert search._dedup(np.empty((0, 3)), self.R) == ([], [])
+        xs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert search._dedup(xs, 0.0) == ([0, 2], [2, 1])
+
+
 class TestStartBudget:
     PARAMS = dict(j1=1.0, j2=1.0, alpha1=0.3, alpha2=0.2, sigma=1.0)
 
