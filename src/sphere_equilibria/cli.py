@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -38,11 +38,7 @@ from .field_model import ModelParams, covariance_pair, sample_field
 from .predictor import (DerivedParams, derived_params, mean_in_interval,
                         mean_total_exact, predict_asymptotic,
                         validate_det_identity)
-from .search import SolverOptions, find_equilibria, mc_mean_count, \
-    mc_result_to_csv, save_count_report_json
-
-EXPERIMENT_KINDS = ("predict-sweep", "mc-count", "spectra-validate",
-                    "det-identity", "dynamics", "transition-curve")
+from .search import SolverOptions, find_equilibria, mc_mean_count
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +112,6 @@ def _model_params(d: dict, where: str = "model") -> ModelParams:
         raise ParameterError(f"field '{where}': {exc}") from exc
 
 
-def _model_dict(p: ModelParams) -> dict:
-    return p.to_dict()
-
-
 def _covariance_values(d: dict, where: str) -> tuple[float, float, float]:
     """Either the three covariance scalars or a quadratic-family model."""
     if {"phi1_1", "dphi1_1", "phi2_1"} <= set(d):
@@ -148,20 +140,6 @@ def _solver_dict(opts: SolverOptions) -> dict:
             "max_halvings": opts.max_halvings, "max_dim": opts.max_dim}
 
 
-_KNOWN_KEYS = {
-    "predict-sweep": {"kind", "seed", "out_dir", "model", "sigma_grid", "n_list"},
-    "mc-count": {"kind", "seed", "out_dir", "model", "instances", "solver",
-                 "lambda_bins", "compare_exact"},
-    "spectra-validate": {"kind", "seed", "out_dir", "n", "tau", "trials", "bins"},
-    "det-identity": {"kind", "seed", "out_dir", "n", "tau", "lambdas", "trials"},
-    "dynamics": {"kind", "seed", "out_dir", "model", "starts", "dt", "t_max",
-                 "v_tol", "solver", "instance_seed"},
-    "transition-curve": {"kind", "seed", "out_dir", "model", "n", "sigma_grid",
-                         "grid_points", "max_sigma_factor", "mc_instances",
-                         "solver"},
-}
-
-
 def parse_config(path, strict: bool = False) -> ExperimentConfig:
     """Load, validate and normalize an experiment config.
 
@@ -179,15 +157,16 @@ def parse_config(path, strict: bool = False) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ParameterError("config root must be a JSON object")
     kind = raw.get("kind")
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _EXPERIMENTS:
         raise ParameterError(
-            f"field 'kind' must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
-    unknown = sorted(set(raw) - _KNOWN_KEYS[kind])
+            f"field 'kind' must be one of {', '.join(_EXPERIMENTS)}; got {kind!r}")
+    keys, normalize, _ = _EXPERIMENTS[kind]
+    unknown = sorted(set(raw) - keys - {"kind", "seed", "out_dir"})
     if unknown and strict:
         raise ParameterError(f"unknown config keys for {kind}: {', '.join(unknown)}")
     seed = _opt(raw, "seed", int, 0, "config")
     out_dir = _opt(raw, "out_dir", str, None, "config")
-    payload = _EXPERIMENTS[kind][0](raw)
+    payload = normalize(raw)
     return ExperimentConfig(kind=kind, payload=payload, seed=seed,
                             out_dir=out_dir, unknown_keys=unknown)
 
@@ -220,7 +199,7 @@ def _norm_mc_count(raw: dict) -> dict:
     bins = _opt(raw, "lambda_bins", int, 12, "config")
     if bins < 1:
         raise ParameterError("field 'lambda_bins' must be >= 1")
-    return {"model": _model_dict(params), "instances": instances,
+    return {"model": params.to_dict(), "instances": instances,
             "solver": _solver_dict(solver), "lambda_bins": bins,
             "compare_exact": _opt(raw, "compare_exact", bool, True, "config")}
 
@@ -261,9 +240,11 @@ def _norm_dynamics(raw: dict) -> dict:
     if dt is not None and dt <= 0:
         raise ParameterError("field 'dt' must be positive")
     t_max = _opt(raw, "t_max", float, None, "config")
+    if t_max is not None and t_max <= 0:
+        raise ParameterError("field 't_max' must be positive")
     v_tol = _opt(raw, "v_tol", float, 1e-8, "config")
     solver = _solver_options(_opt(raw, "solver", dict, {}, "config"), 0)
-    return {"model": _model_dict(params), "starts": starts, "dt": dt,
+    return {"model": params.to_dict(), "starts": starts, "dt": dt,
             "t_max": t_max, "v_tol": v_tol, "solver": _solver_dict(solver),
             "instance_seed": _opt(raw, "instance_seed", int, None, "config")}
 
@@ -293,7 +274,7 @@ def _norm_transition(raw: dict) -> dict:
     if mc_instances < 0:
         raise ParameterError("field 'mc_instances' must be >= 0")
     solver = _solver_options(_opt(raw, "solver", dict, {}, "config"), 0)
-    return {"model": _model_dict(params), "n": n,
+    return {"model": params.to_dict(), "n": n,
             "sigma_grid": [float(s) for s in grid],
             "mc_instances": mc_instances, "solver": _solver_dict(solver)}
 
@@ -379,7 +360,10 @@ def _run_mc_count(cfg: ExperimentConfig, out: str, threads: int,
     result = mc_mean_count(params, cfg.payload["instances"], solver,
                            seed=seed, lambda_edges=edges, strict=strict,
                            threads=threads)
-    mc_result_to_csv(result, os.path.join(out, "mc_counts.csv"))
+    write_csv(os.path.join(out, "mc_counts.csv"),
+              ["instance", "n_found", "saturated", "seed"],
+              [[i, int(c), bool(s), sd] for i, (c, s, sd) in enumerate(
+                  zip(result.counts, result.saturated, result.instance_seeds))])
 
     hist_rows = []
     expected = None
@@ -435,7 +419,10 @@ def _run_spectra_validate(cfg: ExperimentConfig, out: str, threads: int,
         rows.append([float(profile.grid[i]), obs, se, exp_density, z])
     write_csv(os.path.join(out, "density_check.csv"),
               ["lambda", "mc_rho", "mc_stderr", "exact_rho", "z"], rows)
-    DensityProfile.exact(p).to_csv(os.path.join(out, "profile_exact.csv"))
+    exact = DensityProfile.exact(p)
+    write_csv(os.path.join(out, "profile_exact.csv"), ["lambda", "rho", "method"],
+              [[lam, rho, exact.method]
+               for lam, rho in zip(exact.grid, exact.values)])
 
     mc_mean, mc_se = mean_real_count(p, trials, derive_seed(cfg.seed, "count"))
     integral = expected_real_count(p)
@@ -479,7 +466,19 @@ def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int,
     solver = _solver_options(cfg.payload["solver"],
                              derive_seed(cfg.seed, "dynamics-solver"))
     report = find_equilibria(inst, solver)
-    save_count_report_json(report, os.path.join(out, "equilibria.json"))
+    write_json(os.path.join(out, "equilibria.json"), {
+        "n_found": report.n_found,
+        "n_starts": report.n_starts,
+        "n_converged_starts": report.n_converged_starts,
+        "dedup_radius": report.dedup_radius,
+        "saturated": report.saturated,
+        "seed": report.seed,
+        "points": [{"x": pt.x.tolist(), "lambda": pt.lam,
+                    "residual": pt.residual, "basin_hits": pt.basin_hits,
+                    "tangent_spectrum": [[z.real, z.imag]
+                                         for z in pt.tangent_spectrum]}
+                   for pt in report.points],
+    })
 
     rng = stream(derive_seed(cfg.seed, "dynamics-starts"), 0)
     g = rng.standard_normal((cfg.payload["starts"], params.n))
@@ -487,16 +486,8 @@ def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int,
     opts = DynamicsOptions(dt=cfg.payload["dt"], t_max=cfg.payload["t_max"],
                            v_tol=cfg.payload["v_tol"])
     results = run_to_equilibrium_batch(inst, x0, opts, report)
-
-    def match_index(res):
-        if res.matched is None:
-            return ""
-        for i, pt in enumerate(report.points):
-            if pt is res.matched:
-                return i
-        return ""
-
-    rows = [[i, r.converged, r.t, r.lam, r.v_norm, match_index(r)]
+    rows = [[i, r.converged, r.t, r.lam, r.v_norm,
+             "" if r.matched is None else r.matched]
             for i, r in enumerate(results)]
     write_csv(os.path.join(out, "dynamics.csv"),
               ["start", "converged", "t_end", "lambda", "v_norm",
@@ -555,14 +546,21 @@ def _run_transition_curve(cfg: ExperimentConfig, out: str, threads: int,
     return summary
 
 
-# kind -> (config normalizer, experiment body)
+# kind -> (config keys besides kind/seed/out_dir, normalizer, experiment body)
 _EXPERIMENTS = {
-    "predict-sweep": (_norm_predict_sweep, _run_predict_sweep),
-    "mc-count": (_norm_mc_count, _run_mc_count),
-    "spectra-validate": (_norm_spectra, _run_spectra_validate),
-    "det-identity": (_norm_det_identity, _run_det_identity),
-    "dynamics": (_norm_dynamics, _run_dynamics),
-    "transition-curve": (_norm_transition, _run_transition_curve),
+    "predict-sweep": ({"model", "sigma_grid", "n_list"},
+                      _norm_predict_sweep, _run_predict_sweep),
+    "mc-count": ({"model", "instances", "solver", "lambda_bins",
+                  "compare_exact"}, _norm_mc_count, _run_mc_count),
+    "spectra-validate": ({"n", "tau", "trials", "bins"},
+                         _norm_spectra, _run_spectra_validate),
+    "det-identity": ({"n", "tau", "lambdas", "trials"},
+                     _norm_det_identity, _run_det_identity),
+    "dynamics": ({"model", "starts", "dt", "t_max", "v_tol", "solver",
+                  "instance_seed"}, _norm_dynamics, _run_dynamics),
+    "transition-curve": ({"model", "n", "sigma_grid", "grid_points",
+                          "max_sigma_factor", "mc_instances", "solver"},
+                         _norm_transition, _run_transition_curve),
 }
 
 
@@ -576,7 +574,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
     out = out_dir or cfg.out_dir or f"{cfg.kind}-out"
     os.makedirs(out, exist_ok=True)
     t0 = time.time()
-    summary = _EXPERIMENTS[cfg.kind][1](cfg, out, threads, strict)
+    summary = _EXPERIMENTS[cfg.kind][2](cfg, out, threads, strict)
     manifest = {
         "kind": cfg.kind,
         "config": cfg.canonical(),
@@ -622,9 +620,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, strict=args.strict)
         if args.seed is not None:
-            cfg = ExperimentConfig(kind=cfg.kind, payload=cfg.payload,
-                                   seed=args.seed, out_dir=cfg.out_dir,
-                                   unknown_keys=cfg.unknown_keys)
+            cfg = replace(cfg, seed=args.seed)
     except (ParameterError, DomainError) as exc:
         print(_error_json("config", exc))
         return 2

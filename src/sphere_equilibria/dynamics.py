@@ -3,14 +3,15 @@
 The flow ``dx/dt = -lam(x) x + h + f(x)`` stays on the sphere |x|^2 = N when
 ``lam(x) = x . (h + f(x)) / N``; differentiating the constraint gives exactly
 that multiplier, so no implicit solve is needed.  Integration is classical
-RK4 with the multiplier recomputed at every stage, plus an optional
-renormalization of |x| after each step that removes the residual
-O(dt^5)-per-step drift.
+RK4 with the multiplier recomputed at every stage, plus a renormalization of
+|x| after each step that removes the residual O(dt^5)-per-step drift.  One
+batched step serves both drivers: `integrate` runs it on a single row and
+can switch the renormalization off, `run_to_equilibrium_batch` always
+renormalizes.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import FieldInstance, covariance_pair
-from .search import CountReport, EquilibriumPoint
+from .search import CountReport
 
 __all__ = [
     "Trajectory",
@@ -73,20 +74,6 @@ class Trajectory:
     speeds: np.ndarray
     constraint_drift: float
 
-    def to_csv(self, path, full_state: bool = False) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            head = ["t", "lambda", "speed"]
-            if full_state:
-                head += [f"x{i}" for i in range(self.states.shape[1])]
-            writer.writerow(head)
-            for i, t in enumerate(self.times):
-                row = [repr(float(t)), repr(float(self.lambdas[i])),
-                       repr(float(self.speeds[i]))]
-                if full_state:
-                    row += [repr(float(v)) for v in self.states[i]]
-                writer.writerow(row)
-
 
 def _check_start(inst: FieldInstance, x0: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
@@ -98,12 +85,18 @@ def _check_start(inst: FieldInstance, x0: np.ndarray) -> np.ndarray:
     return x0
 
 
-def _rk4_step(inst: FieldInstance, x: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(inst: FieldInstance, x: np.ndarray, dt: float,
+              renormalize: bool = True) -> np.ndarray:
+    """One RK4 step of every row of `x`, projected back to |x| = sqrt(N)
+    unless `renormalize` is off."""
     k1 = velocity(inst, x)
     k2 = velocity(inst, x + 0.5 * dt * k1)
     k3 = velocity(inst, x + 0.5 * dt * k2)
     k4 = velocity(inst, x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if renormalize:
+        x = math.sqrt(inst.n) * x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x
 
 
 def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
@@ -112,34 +105,33 @@ def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
 
     With `renormalize` the state is projected back to radius sqrt(N) after
     every step; otherwise the norm drifts at the scheme's order and the run
-    aborts if |x| leaves a 10% band.
+    aborts if |x| leaves a 10% band.  Every `sample_stride`-th step and the
+    last one are recorded.
     """
     if dt <= 0 or t_end <= 0:
         raise ParameterError("dt and t_end must be positive")
-    x = _check_start(inst, x0).copy()
-    sqrt_n = math.sqrt(inst.n)
+    if sample_stride < 1:
+        raise ParameterError(f"sample_stride must be >= 1, got {sample_stride}")
+    x = _check_start(inst, x0).reshape(1, inst.n)
     steps = int(math.ceil(t_end / dt))
     times, states, lambdas, speeds = [], [], [], []
     drift = 0.0
 
     def record(t, x):
         times.append(t)
-        states.append(x.copy())
+        states.append(x[0].copy())
         lambdas.append((x * inst.drift(x)).sum() / inst.n)
         speeds.append(np.linalg.norm(velocity(inst, x)))
 
     record(0.0, x)
     for i in range(1, steps + 1):
-        x = _rk4_step(inst, x, dt)
-        norm = np.linalg.norm(x)
-        if renormalize:
-            x = sqrt_n * x / norm
-        elif abs(norm / sqrt_n - 1.0) > 0.1:
+        x = _rk4_step(inst, x, dt, renormalize)
+        r2 = (x * x).sum() / inst.n
+        if not renormalize and abs(math.sqrt(r2) - 1.0) > 0.1:
             raise NumericalError(
                 f"integration diverged at t={i * dt:.3g}: |x|/sqrt(N) = "
-                f"{norm / sqrt_n:.3f} (renormalization is off)")
-        drift = max(drift, abs(norm * norm / inst.n - 1.0) if not renormalize
-                    else abs((x * x).sum() / inst.n - 1.0))
+                f"{math.sqrt(r2):.3f} (renormalization is off)")
+        drift = max(drift, abs(r2 - 1.0))
         if i % sample_stride == 0 or i == steps:
             record(i * dt, x)
     return Trajectory(times=np.array(times), states=np.array(states),
@@ -152,8 +144,10 @@ class DynamicsOptions:
     dt: float | None = None
     t_max: float | None = None
     v_tol: float = 1e-8
-    renormalize: bool = True
-    check_every: int = 8
+
+
+# RK4 steps between velocity checks of `run_to_equilibrium_batch`
+_CHECK_EVERY = 8
 
 
 @dataclass
@@ -164,14 +158,7 @@ class RunResult:
     lam: float
     v_norm: float
     t: float
-    matched: EquilibriumPoint | None = None
-
-
-def _match_point(report: CountReport, x: np.ndarray) -> EquilibriumPoint | None:
-    for pt in report.points:
-        if np.linalg.norm(pt.x - x) <= report.dedup_radius:
-            return pt
-    return None
+    matched: int | None = None  # index into the report's `points`
 
 
 def run_to_equilibrium(inst: FieldInstance, x0: np.ndarray,
@@ -183,7 +170,8 @@ def run_to_equilibrium(inst: FieldInstance, x0: np.ndarray,
     avoid false positives on slowly drifting manifolds.  Non-relaxational
     flows may cycle forever; that outcome is reported, not raised.  With a
     `report`, a converged terminal state is matched against the enumerated
-    equilibria by the report's dedup radius.
+    equilibria by the report's dedup radius: `matched` is the index of the
+    first point of `report.points` within that radius.
     """
     return run_to_equilibrium_batch(inst, np.asarray(x0)[None, :], opts,
                                     report)[0]
@@ -193,44 +181,43 @@ def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
                              opts: DynamicsOptions | None = None,
                              report: CountReport | None = None
                              ) -> list[RunResult]:
-    """Batched `run_to_equilibrium` over rows of x0s (shared time grid)."""
+    """Batched `run_to_equilibrium` over rows of x0s (shared time grid).
+
+    The velocity is checked every `_CHECK_EVERY` steps and at the last one;
+    rows that converged there leave the integrated batch.
+    """
     opts = opts or DynamicsOptions()
     dt = opts.dt if opts.dt is not None else default_dt(inst)
-    if opts.t_max is not None:
-        t_max = opts.t_max
-    else:
-        # 8000 default-sized steps = 80 units of the slowest field scale
-        t_max = 8000.0 * dt
-    x = _check_start(inst, x0s).copy()
-    sqrt_n = math.sqrt(inst.n)
-    b = x.shape[0]
-    done = np.zeros(b, dtype=bool)
-    t_done = np.full(b, np.nan)
+    # 8000 default-sized steps = 80 units of the slowest field scale
+    t_max = opts.t_max if opts.t_max is not None else 8000.0 * dt
+    if not (dt > 0 and t_max > 0):
+        raise ParameterError(f"dt and t_max must be positive, got {dt} and {t_max}")
+    x_end = _check_start(inst, x0s).copy()
+    t_done = np.full(len(x_end), np.nan)
+    act = np.arange(len(x_end))  # rows still integrating, in row order
+    x = x_end
     steps = int(math.ceil(t_max / dt))
     for i in range(1, steps + 1):
-        act = ~done
-        if not np.any(act):
-            break
-        x[act] = _rk4_step(inst, x[act], dt)
-        if opts.renormalize:
-            x[act] = sqrt_n * x[act] / np.linalg.norm(x[act], axis=1, keepdims=True)
-        if i % opts.check_every == 0 or i == steps:
-            v = np.linalg.norm(velocity(inst, x[act]), axis=1)
-            newly = np.flatnonzero(act)[v <= opts.v_tol]
-            done[newly] = True
-            t_done[newly] = i * dt
-    results = []
-    vfinal = np.linalg.norm(velocity(inst, x), axis=1)
-    lam = (x * inst.drift(x)).sum(axis=1) / inst.n
-    for j in range(b):
-        conv = bool(done[j])
-        matched = None
-        if conv and report is not None:
-            matched = _match_point(report, x[j])
-        results.append(RunResult(
-            converged=conv,
-            status="converged" if conv else "no-convergence",
-            x=x[j].copy(), lam=float(lam[j]), v_norm=float(vfinal[j]),
-            t=float(t_done[j]) if conv else float(steps * dt),
-            matched=matched))
-    return results
+        x = _rk4_step(inst, x, dt)
+        if i % _CHECK_EVERY == 0 or i == steps:
+            x_end[act] = x
+            done = np.linalg.norm(velocity(inst, x), axis=1) <= opts.v_tol
+            t_done[act[done]] = i * dt
+            act, x = act[~done], x[~done]
+            if not act.size:
+                break
+    converged = ~np.isnan(t_done)
+    v_end = np.linalg.norm(velocity(inst, x_end), axis=1)
+    lam = (x_end * inst.drift(x_end)).sum(axis=1) / inst.n
+    matched = np.full(len(x_end), -1)
+    if report is not None and report.points:
+        pts = np.array([pt.x for pt in report.points])
+        near = np.linalg.norm(x_end[:, None, :] - pts[None, :, :],
+                              axis=2) <= report.dedup_radius
+        matched = np.where(converged & near.any(axis=1), near.argmax(axis=1), -1)
+    return [RunResult(converged=bool(conv),
+                      status="converged" if conv else "no-convergence",
+                      x=x_end[j].copy(), lam=float(lam[j]), v_norm=float(v_end[j]),
+                      t=float(t_done[j]) if conv else float(steps * dt),
+                      matched=int(matched[j]) if matched[j] >= 0 else None)
+            for j, conv in enumerate(converged)]

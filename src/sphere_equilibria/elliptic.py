@@ -15,8 +15,6 @@ Asymptotic profiles are expressed in the rescaled variable ``lam = x/sqrt(N)``.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -537,26 +535,3 @@ class DensityProfile:
                    stderr=stderr_counts / width_x,
                    metadata={"bins": bins, "trials": trials,
                              "bin_edges": edges.tolist()})
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "rho", "method"])
-            for lam, rho in zip(self.grid, self.values):
-                writer.writerow([repr(float(lam)), repr(float(rho)), self.method])
-
-    def to_json(self, path) -> None:
-        payload = {
-            "n": self.n,
-            "tau": self.tau,
-            "method": self.method,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "normalization": self.normalization,
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "stderr": None if self.stderr is None else self.stderr.tolist(),
-            "metadata": self.metadata,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)

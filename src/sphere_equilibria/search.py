@@ -17,8 +17,6 @@ curve was still rising.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -39,9 +37,11 @@ __all__ = [
     "find_equilibria",
     "tangent_spectrum",
     "mc_mean_count",
-    "save_count_report_json",
-    "mc_result_to_csv",
 ]
+
+# an instance is saturated when this trailing share of its starts found no
+# new root
+_SATURATION_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class SolverOptions:
     max_iter: int = 80
     max_halvings: int = 50
     seed: int = 0
-    saturation_fraction: float = 0.25
     max_dim: int = 10
 
 
@@ -220,7 +219,7 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
     reps, hits = _dedup(x[conv_idx], radius)
     reps = conv_idx[reps].tolist()
     saturated = (len(conv_idx) > 0
-                 and reps[-1] < (1.0 - opts.saturation_fraction) * n_starts)
+                 and reps[-1] < (1.0 - _SATURATION_FRACTION) * n_starts)
 
     points = []
     for r, hit in zip(reps, hits):
@@ -380,40 +379,3 @@ def mc_mean_count(params: ModelParams, n_instances: int,
         result.histogram_stderr = (hk.std(ddof=1, axis=0) / math.sqrt(n_keep)
                                    if n_keep > 1 else np.zeros(hk.shape[1]))
     return result
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def save_count_report_json(rep: CountReport, path) -> None:
-    payload = {
-        "n_found": rep.n_found,
-        "n_starts": rep.n_starts,
-        "n_converged_starts": rep.n_converged_starts,
-        "dedup_radius": rep.dedup_radius,
-        "saturated": rep.saturated,
-        "seed": rep.seed,
-        "points": [
-            {
-                "x": pt.x.tolist(),
-                "lambda": pt.lam,
-                "residual": pt.residual,
-                "basin_hits": pt.basin_hits,
-                "tangent_spectrum": [[z.real, z.imag] for z in pt.tangent_spectrum],
-            }
-            for pt in rep.points
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-
-
-def mc_result_to_csv(result: MCCountResult, path) -> None:
-    """Per-instance summary rows: instance, n_found, saturated, seed."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "n_found", "saturated", "seed"])
-        for i, (c, s, sd) in enumerate(zip(result.counts, result.saturated,
-                                           result.instance_seeds)):
-            writer.writerow([i, int(c), bool(s), sd])

@@ -174,6 +174,38 @@ class TestRunner:
         assert lines[0] == "instance,n_found,saturated,seed"
         assert len(lines) == 9
 
+    def test_artifacts_atomic_with_lf_line_ends(self, tmp_path):
+        model = {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3, "alpha2": 0.2,
+                 "sigma": 1.8}
+        configs = {
+            "mc": {"kind": "mc-count", "model": model, "instances": 3,
+                   "lambda_bins": 4, "solver": {"n_starts": 200}},
+            "dyn": {"kind": "dynamics", "model": model, "starts": 5,
+                    "t_max": 1.0, "solver": {"n_starts": 200}},
+            "spectra": {"kind": "spectra-validate", "n": 4, "tau": 0.3,
+                        "trials": 200, "bins": 5},
+        }
+        for name, payload in configs.items():
+            path = write_config(tmp_path, {**payload, "seed": 1}, name + ".json")
+            assert main(["run", path, "--out-dir", str(tmp_path / name)]) == 0
+            files = os.listdir(tmp_path / name)
+            assert not [f for f in files if f.endswith(".tmp")]
+            for f in files:
+                data = (tmp_path / name / f).read_bytes()
+                assert b"\r" not in data, f
+                assert data.endswith(b"\n"), f
+
+        lines = (tmp_path / "mc" / "mc_counts.csv").read_text().splitlines()
+        assert lines[0] == "instance,n_found,saturated,seed"
+        assert len(lines) == 4
+        with open(tmp_path / "dyn" / "equilibria.json") as fh:
+            eq = json.load(fh)
+        assert eq["n_found"] == len(eq["points"]) > 0
+        with open(tmp_path / "spectra" / "profile_exact.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["lambda", "rho", "method"]
+        assert len(rows) == 202  # header + the 201-point Chebyshev grid
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -185,6 +217,15 @@ class TestMainExitCodes:
         assert main(["run", path]) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "config"
+
+    def test_nonpositive_t_max_is_config_error(self, tmp_path, capsys):
+        payload = {"kind": "dynamics", "starts": 2, "t_max": -2,
+                   "model": {"n": 4, "j1": 1.0, "j2": 1.0, "sigma": 1.0}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert "t_max" in err["error"]["message"]
+        assert not os.path.exists(tmp_path / "o")
 
     def test_strict_unsaturated_exit_code(self, tmp_path):
         payload = {"kind": "mc-count",

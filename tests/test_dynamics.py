@@ -1,6 +1,7 @@
 """Constrained-flow integration: multiplier, relaxation, order, matching."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from sphere_equilibria.dynamics import (DynamicsOptions, default_dt,
                                         integrate, lambda_of_state,
                                         run_to_equilibrium,
                                         run_to_equilibrium_batch, velocity)
-from sphere_equilibria.errors import DomainError, NumericalError
+from sphere_equilibria.errors import (DomainError, NumericalError,
+                                      ParameterError)
 from sphere_equilibria.field_model import ModelParams, sample_field
 from sphere_equilibria.search import SolverOptions, find_equilibria
 
@@ -95,14 +97,21 @@ class TestIntegrate:
             integrate(inst, sphere_point(4, 2), dt=1.5, t_end=60.0,
                       renormalize=False)
 
-    def test_trajectory_export(self, tmp_path):
+    def test_sample_stride_keeps_every_kth_step(self):
+        # 50 steps: the start and every 10th step are recorded
         inst = field_free_instance()
         traj = integrate(inst, sphere_point(4, 1), dt=0.01, t_end=0.5,
                          sample_stride=10)
-        traj.to_csv(tmp_path / "t.csv", full_state=True)
-        lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert lines[0] == "t,lambda,speed,x0,x1,x2,x3"
-        assert len(lines) == len(traj.times) + 1
+        assert len(traj.times) == 6
+        assert_allclose(traj.times, np.arange(6) * 0.1, rtol=1e-12)
+        assert traj.states.shape == (6, 4)
+        assert traj.lambdas.shape == traj.speeds.shape == (6,)
+
+    def test_sample_stride_below_one_rejected(self):
+        inst = field_free_instance()
+        with pytest.raises(ParameterError, match="sample_stride"):
+            integrate(inst, sphere_point(4, 1), dt=0.01, t_end=0.5,
+                      sample_stride=0)
 
 
 class TestRunToEquilibrium:
@@ -148,6 +157,68 @@ class TestRunToEquilibrium:
     def test_default_dt_requires_scale(self):
         inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0,
                                         field_free=True), 1)
-        from sphere_equilibria.errors import ParameterError
         with pytest.raises(ParameterError):
             default_dt(inst)
+
+    @pytest.mark.parametrize("opts", [DynamicsOptions(dt=-0.01),
+                                      DynamicsOptions(dt=0.0),
+                                      DynamicsOptions(t_max=-2.0),
+                                      DynamicsOptions(t_max=0.0)])
+    def test_nonpositive_time_inputs_rejected(self, opts):
+        # a negative dt would integrate backward and report convergence at
+        # a negative time; a nonpositive t_max would take no step at all
+        p = ModelParams(n=4, j1=1, j2=1, sigma=1.0)
+        inst = sample_field(p, 1)
+        x0 = np.array([2.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ParameterError, match="positive"):
+            run_to_equilibrium(inst, x0, opts)
+
+
+# run_to_equilibrium_batch on 12 starts at sigma_c, recorded before the RK4
+# loop was shared with `integrate`: (converged, t, lam, v_norm, matched).
+# dt = 0.0048..., so t_max = 15 takes 3122 steps (not a multiple of the
+# 8-step check); rows converge at different checks and four never do.
+PINNED_BATCH = [
+    (True, 10.687861928828411, 1.7815315432428145, 9.380076633496813e-09, 6),
+    (True, 11.11076294040076, 1.7815315396877365, 9.76788290037868e-09, 6),
+    (True, 10.07273318472318, 1.7815315396673572, 9.877644629050118e-09, 6),
+    (True, 10.380297556775796, 1.7815315433208825, 9.800456736443604e-09, 6),
+    (True, 10.149624277736333, 1.7815315432607524, 9.47659661054179e-09, 6),
+    (True, 11.49521840546653, 1.7815315396854396, 9.780254290908501e-09, 6),
+    (False, 15.003374524191683, 1.1570452838552736, 3.418313766704476e-07, None),
+    (False, 15.003374524191683, 1.1570452747548665, 2.0381014237520874e-07, None),
+    (False, 15.003374524191683, 1.1570452569180407, 6.671467841675029e-08, None),
+    (True, 12.571693707650686, 1.9468648947737166, 9.620082292717964e-09, 7),
+    (False, 15.003374524191683, 1.1570452538684615, 1.1296841922396484e-07, None),
+    (True, 10.380297556775796, 1.7815315433004786, 9.690558163704285e-09, 6),
+]
+
+
+def test_batch_pinned_bit_for_bit():
+    sigma_c = math.sqrt(3.25 - 2.17)  # Phi1'(1) - Phi1(1) of this model
+    p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma_c)
+    inst = sample_field(p, 2)
+    report = find_equilibria(inst, SolverOptions(seed=1))
+    assert report.n_found == 8
+    g = np.random.default_rng(11).standard_normal((12, 4))
+    x0 = 2.0 * g / np.linalg.norm(g, axis=1, keepdims=True)
+    steps = math.ceil(15.0 / default_dt(inst))
+    assert steps == 3122
+    results = run_to_equilibrium_batch(inst, x0, DynamicsOptions(t_max=15.0),
+                                       report)
+    got = [(r.converged, r.t, r.lam, r.v_norm, r.matched) for r in results]
+    assert got == PINNED_BATCH
+    # reference matcher: the first enumerated point within the dedup radius
+    for r in results:
+        first = next((i for i, pt in enumerate(report.points)
+                      if np.linalg.norm(pt.x - r.x) <= report.dedup_radius),
+                     None)
+        assert r.matched == (first if r.converged else None)
+    # a state within reach of two points matches the first of them
+    twice = replace(report, points=[report.points[7], report.points[6],
+                                    report.points[6]])
+    ends = np.array([r.x for r in results if r.converged])
+    again = run_to_equilibrium_batch(inst, ends, DynamicsOptions(t_max=15.0),
+                                     twice)
+    assert [r.matched for r in again] == [
+        {6: 1, 7: 0}[r.matched] for r in results if r.converged]

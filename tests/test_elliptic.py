@@ -379,17 +379,3 @@ class TestDensityProfile:
         z = np.abs(prof.values - expected) / np.where(prof.stderr > 0,
                                                       prof.stderr, np.inf)
         assert z.max() < 4.0
-
-    def test_exports(self, tmp_path):
-        prof = DensityProfile.exact(EllipticParams(4, 0.0), num=21)
-        prof.to_csv(tmp_path / "d.csv")
-        prof.to_json(tmp_path / "d.json")
-        import csv as _csv
-        import json as _json
-        with open(tmp_path / "d.csv") as fh:
-            rows = list(_csv.reader(fh))
-        assert rows[0] == ["lambda", "rho", "method"]
-        assert len(rows) == 22
-        with open(tmp_path / "d.json") as fh:
-            payload = _json.load(fh)
-        assert payload["n"] == 4 and payload["method"] == "exact-hermite"

@@ -1,6 +1,5 @@
 """Multi-start Newton enumeration against analytic and spectral oracles."""
 
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from sphere_equilibria.errors import NumericalError, ParameterError
 from sphere_equilibria.field_model import ModelParams, sample_field
 from sphere_equilibria.search import (SolverOptions, default_n_starts,
                                       find_equilibria, mc_mean_count,
-                                      mc_result_to_csv, save_count_report_json,
                                       tangent_spectrum)
 
 
@@ -290,19 +288,3 @@ class TestMCCount:
         res = mc_mean_count(p, 8, SolverOptions(n_starts=6), seed=3,
                             strict=True)
         assert res.n_excluded == res.n_unsaturated > 0
-
-    def test_exports(self, tmp_path):
-        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=1.0)
-        inst = sample_field(p, 2)
-        rep = find_equilibria(inst, SolverOptions(seed=1))
-        save_count_report_json(rep, tmp_path / "rep.json")
-        with open(tmp_path / "rep.json") as fh:
-            payload = json.load(fh)
-        assert payload["n_found"] == rep.n_found
-        assert len(payload["points"]) == rep.n_found
-
-        res = mc_mean_count(p, 5, SolverOptions(), seed=1)
-        mc_result_to_csv(res, tmp_path / "mc.csv")
-        lines = (tmp_path / "mc.csv").read_text().strip().splitlines()
-        assert lines[0] == "instance,n_found,saturated,seed"
-        assert len(lines) == 6
