@@ -5,6 +5,8 @@ hand-derived closed forms at N = 2, a naive factorial/quad implementation at
 small N, and high-precision mpmath evaluation at N in the hundreds.
 """
 
+import csv
+import json
 import math
 
 import mpmath as mp
@@ -14,6 +16,7 @@ import scipy.integrate
 import scipy.special
 from numpy.testing import assert_allclose
 
+from sphere_equilibria import cli
 from sphere_equilibria.elliptic import (DensityProfile, EllipticParams,
                                         _psi_hat_scan,
                                         expected_counts_in_bins,
@@ -364,6 +367,21 @@ class TestDensityProfile:
         # even grid, even values
         assert_allclose(prof.values, prof.values[::-1], rtol=1e-9, atol=1e-300)
         assert prof.method == "exact-hermite"
+
+    def test_exports(self, tmp_path):
+        # the experiment runner writes the exact profile at full precision
+        prof = DensityProfile.exact(EllipticParams(4, 0.0))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "spectra-validate", "n": 4,
+                                    "tau": 0.0, "trials": 200, "bins": 5}))
+        cli.run(cli.parse_config(str(path)), out_dir=str(tmp_path / "out"))
+        with open(tmp_path / "out" / "profile_exact.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["lambda", "rho", "method"]
+        assert len(rows) == len(prof.grid) + 1
+        assert {r[2] for r in rows[1:]} == {"exact-hermite"}
+        assert np.array_equal([float(r[0]) for r in rows[1:]], prof.grid)
+        assert np.array_equal([float(r[1]) for r in rows[1:]], prof.values)
 
     def test_support_cutoff_certifies_negligible_tail(self):
         n, tau = 8, 0.5

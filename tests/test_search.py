@@ -1,12 +1,14 @@
 """Multi-start Newton enumeration against analytic and spectral oracles."""
 
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphere_equilibria import search
+from sphere_equilibria import cli, search
 from sphere_equilibria.elliptic import real_eigenvalues
 from sphere_equilibria.errors import NumericalError, ParameterError
 from sphere_equilibria.field_model import ModelParams, sample_field
@@ -288,3 +290,33 @@ class TestMCCount:
         res = mc_mean_count(p, 8, SolverOptions(n_starts=6), seed=3,
                             strict=True)
         assert res.n_excluded == res.n_unsaturated > 0
+
+    def test_exports(self, tmp_path):
+        # the experiment runner writes the per-instance counts and one
+        # instance's equilibria; both must carry what the search reported
+        model = {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3, "alpha2": 0.2,
+                 "sigma": 1.0}
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"kind": "mc-count", "model": model,
+                                    "instances": 5, "seed": 1}))
+        cli.run(cli.parse_config(str(path)), out_dir=str(tmp_path / "mc"))
+        with open(tmp_path / "mc" / "mc_counts.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["instance", "n_found", "saturated", "seed"]
+        assert len(rows) == 6
+        with open(tmp_path / "mc" / "summary.json") as fh:
+            summary = json.load(fh)
+        assert_allclose(np.mean([int(r[1]) for r in rows[1:]]),
+                        summary["mean"], rtol=1e-12)
+
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "model": model,
+                                    "starts": 2, "t_max": 1.0,
+                                    "instance_seed": 2, "seed": 1}))
+        cli.run(cli.parse_config(str(path)), out_dir=str(tmp_path / "dyn"))
+        with open(tmp_path / "dyn" / "equilibria.json") as fh:
+            payload = json.load(fh)
+        with open(tmp_path / "dyn" / "summary.json") as fh:
+            summary = json.load(fh)
+        assert payload["n_found"] == summary["n_equilibria"] > 0
+        assert len(payload["points"]) == payload["n_found"]
