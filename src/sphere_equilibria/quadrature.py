@@ -10,33 +10,28 @@ relative to a running maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
 
-
-@lru_cache(maxsize=None)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+# 16-point Gauss-Legendre nodes and weights on [-1, 1]
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# bisection rounds before `log_quad` gives up
+_MAX_ROUNDS = 24
 
 
-def _panel_log_integrals(logf, lo: np.ndarray, hi: np.ndarray,
-                         order: int = 16) -> np.ndarray:
+def _panel_log_integrals(logf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """log of the Gauss-Legendre integral of exp(logf) on each panel."""
-    xi, w = gauss_legendre(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * xi[None, :]
+    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     lf = np.asarray(logf(nodes.ravel())).reshape(nodes.shape)
     m = lf.max(axis=1)
     out = np.full(len(lo), -np.inf)
     ok = np.isfinite(m)
     if np.any(ok):
-        scaled = np.exp(lf[ok] - m[ok, None]) @ w
+        scaled = np.exp(lf[ok] - m[ok, None]) @ _WEIGHTS
         # weights are positive and exp >= 0, so scaled >= 0
         with np.errstate(divide="ignore"):
             out[ok] = m[ok] + np.log(scaled * half[ok])
@@ -64,12 +59,12 @@ class LogQuadResult:
 
 
 def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12,
-             initial_panels: int = 64, max_rounds: int = 24,
-             order: int = 16) -> LogQuadResult:
+             initial_panels: int = 64) -> LogQuadResult:
     """Integrate exp(logf) over [a, b], returning the log of the integral.
 
     Panels are bisected until each panel's two-half refinement changes the
-    estimate by less than ``rel_tol`` of the current total.  `logf` must be
+    estimate by less than ``rel_tol`` of the current total, for at most
+    `_MAX_ROUNDS` rounds of 16-point Gauss-Legendre panels.  `logf` must be
     vectorized and may return -inf.
 
     Parameters
@@ -86,15 +81,15 @@ def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12,
 
     edges = np.linspace(a, b, initial_panels + 1)
     lo, hi = edges[:-1], edges[1:]
-    parent = _panel_log_integrals(logf, lo, hi, order)
+    parent = _panel_log_integrals(logf, lo, hi)
 
     accepted_logs: list[float] = []
     n_refine = 0
     worst = 0.0
-    for round_idx in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + hi)
-        left = _panel_log_integrals(logf, lo, mid, order)
-        right = _panel_log_integrals(logf, mid, hi, order)
+        left = _panel_log_integrals(logf, lo, mid)
+        right = _panel_log_integrals(logf, mid, hi)
         children = np.logaddexp(left, right)
 
         total = _logsumexp(np.concatenate([np.array(accepted_logs), children]))
@@ -120,5 +115,5 @@ def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12,
     if worst > 1e3 * rel_tol:
         raise NumericalError(
             f"quadrature did not converge: residual panel error {worst:.2e} "
-            f"after {max_rounds} rounds")
+            f"after {_MAX_ROUNDS} rounds")
     return LogQuadResult(total, len(accepted_logs) + len(lo), n_refine, worst)
