@@ -18,10 +18,9 @@ from .elliptic import (DensityProfile, EllipticParams, expected_real_count,
                        rho_real_outside, rho_real_weak_nongradient,
                        sample_elliptic, sample_elliptic_batch)
 from .errors import DomainError, NumericalError, ParameterError
-from .field_model import (CovariancePair, FieldInstance, ModelParams,
-                          covariance_pair, field_covariance,
-                          jacobian_covariance, load_field, sample_field,
-                          save_field)
+from .field_model import (CovariancePair, FieldInstance, JacobianCovariance,
+                          ModelParams, covariance_pair, field_covariance,
+                          load_field, sample_field, save_field)
 from .predictor import (CountPrediction, DerivedParams, DetIdentityReport,
                         FixedAsymptote, asympt_fixed, crossover_gamma,
                         crossover_kappa, derived_params, mean_in_interval,
@@ -37,7 +36,7 @@ __all__ = [
     "__version__",
     # field model
     "ModelParams", "CovariancePair", "FieldInstance", "sample_field",
-    "covariance_pair", "field_covariance", "jacobian_covariance",
+    "covariance_pair", "field_covariance", "JacobianCovariance",
     "save_field", "load_field",
     # elliptic ensemble
     "EllipticParams", "DensityProfile", "sample_elliptic",

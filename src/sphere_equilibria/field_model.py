@@ -33,7 +33,6 @@ __all__ = [
     "covariance_pair",
     "field_covariance",
     "JacobianCovariance",
-    "jacobian_covariance",
     "save_field",
     "load_field",
 ]
@@ -128,13 +127,6 @@ class CovariancePair:
     def d2phi2(self, u):
         return 0.0 * u
 
-    def scaled(self, c: float) -> "CovariancePair":
-        """Both covariance functions multiplied by c > 0."""
-        if c <= 0:
-            raise ParameterError("scale factor must be positive")
-        return CovariancePair(tuple(c * v for v in self.phi1_coeffs),
-                              tuple(c * v for v in self.phi2_coeffs))
-
 
 def covariance_pair(params: ModelParams) -> CovariancePair:
     """Analytic covariance functions of the sampled field."""
@@ -201,10 +193,6 @@ class JacobianCovariance:
             val += x[p] * x[k] / n ** 2 * dphi2
         val += x[p] * x[l] * x[k] * x[n_idx] / n ** 3 * cov.d2phi2(u)
         return float(val)
-
-
-def jacobian_covariance(cov: CovariancePair, x: np.ndarray) -> JacobianCovariance:
-    return JacobianCovariance(cov, x)
 
 
 class FieldInstance:

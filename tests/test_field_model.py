@@ -7,10 +7,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sphere_equilibria.errors import ParameterError
-from sphere_equilibria.field_model import (CovariancePair, ModelParams,
+from sphere_equilibria.field_model import (CovariancePair,
+                                           JacobianCovariance, ModelParams,
                                            covariance_pair, field_covariance,
-                                           jacobian_covariance, load_field,
-                                           sample_field, save_field)
+                                           load_field, sample_field,
+                                           save_field)
 
 
 def sphere_point(n, seed):
@@ -222,7 +223,7 @@ class TestJacobianCovariance:
         cov = covariance_pair(p)
         x = np.zeros(6)
         x[0] = math.sqrt(6)
-        jc = jacobian_covariance(cov, x)
+        jc = JacobianCovariance(cov, x)
         want = (cov.phi2(1.0) + cov.dphi1(1.0)) / 6
         assert_allclose(jc.grad_grad(1, 1, 1, 1), want, rtol=1e-14)
 
@@ -230,7 +231,7 @@ class TestJacobianCovariance:
         p = ModelParams(n=6, j1=1.0, j2=0.7, alpha1=0.4, alpha2=0.1)
         x = np.zeros(6)
         x[0] = math.sqrt(6)
-        jc = jacobian_covariance(covariance_pair(p), x)
+        jc = JacobianCovariance(covariance_pair(p), x)
         # {k,l} and {p,n} disjoint, all off the special axis
         assert jc.grad_grad(1, 2, 3, 4) == 0.0
 
@@ -251,7 +252,7 @@ class TestJacobianCovariance:
         rng = np.random.default_rng(0)
         tuples = rng.integers(0, 6, size=(20, 4))
         for x in points:
-            jc = jacobian_covariance(cov, x)
+            jc = JacobianCovariance(cov, x)
             fs, ks = f_samp[id(x)], k_samp[id(x)]
             for k, n_idx, q, l in tuples:
                 prods = ks[:, k, n_idx] * ks[:, q, l]
