@@ -13,7 +13,7 @@ from .dynamics import (DynamicsOptions, RunResult, Trajectory, integrate,
                        run_to_equilibrium_batch)
 from .elliptic import (DensityProfile, EllipticParams, expected_real_count,
                        hermite_tau, log_rho_real_exact, mean_real_count,
-                       real_eigenvalue_counts, real_eigenvalues,
+                       real_eigenvalue_values, real_eigenvalues,
                        rho_real_bulk, rho_real_edge, rho_real_exact,
                        rho_real_outside, rho_real_weak_nongradient,
                        sample_elliptic, sample_elliptic_batch)
@@ -40,7 +40,7 @@ __all__ = [
     "save_field", "load_field",
     # elliptic ensemble
     "EllipticParams", "DensityProfile", "sample_elliptic",
-    "sample_elliptic_batch", "real_eigenvalues", "real_eigenvalue_counts",
+    "sample_elliptic_batch", "real_eigenvalues", "real_eigenvalue_values",
     "hermite_tau", "rho_real_exact", "log_rho_real_exact", "rho_real_bulk",
     "rho_real_outside", "rho_real_edge", "rho_real_weak_nongradient",
     "mean_real_count", "expected_real_count",

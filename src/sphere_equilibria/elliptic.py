@@ -31,8 +31,8 @@ __all__ = [
     "DensityProfile",
     "sample_elliptic",
     "sample_elliptic_batch",
+    "elliptic_batches",
     "real_eigenvalues",
-    "real_eigenvalue_counts",
     "real_eigenvalue_values",
     "hermite_tau",
     "rho_real_exact",
@@ -101,6 +101,19 @@ def sample_elliptic(p: EllipticParams, seed: int) -> np.ndarray:
     return sample_elliptic_batch(p, 1, seed)[0]
 
 
+def elliptic_batches(p: EllipticParams, trials: int, seed: int,
+                     chunk: int = 4096):
+    """The draw schedule of every Monte Carlo estimator in the package.
+
+    Yields `trials` matrices in batches of `chunk` (the last one shorter);
+    batch k comes from Philox stream k of `seed`, so an estimate is a pure
+    function of (p, trials, seed, chunk).
+    """
+    for k, start in enumerate(range(0, trials, chunk)):
+        yield sample_elliptic_batch(p, min(chunk, trials - start), seed,
+                                    stream_id=k)
+
+
 # ---------------------------------------------------------------------------
 # real eigenvalues
 # ---------------------------------------------------------------------------
@@ -135,19 +148,13 @@ def real_eigenvalues(x: np.ndarray) -> np.ndarray:
     return np.sort(np.array(out))
 
 
-def real_eigenvalue_counts(mats: np.ndarray) -> np.ndarray:
-    """Number of real eigenvalues for each matrix in a (B, n, n) batch.
+def real_eigenvalue_values(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(counts per draw, flat array of all real eigenvalues) for a batch.
 
     Uses batched LAPACK eigenvalues; dgeev assigns an exactly-zero imaginary
     part to eigenvalues coming from 1x1 Schur blocks, so ``imag == 0`` is the
     same structural test as `real_eigenvalues`.
     """
-    ev = np.linalg.eigvals(np.asarray(mats, dtype=float))
-    return (ev.imag == 0.0).sum(axis=-1)
-
-
-def real_eigenvalue_values(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(counts per draw, flat array of all real eigenvalues) for a batch."""
     ev = np.linalg.eigvals(np.asarray(mats, dtype=float))
     mask = ev.imag == 0.0
     return mask.sum(axis=-1), ev.real[mask]
@@ -377,48 +384,29 @@ def rho_real_weak_nongradient(u: float, lam: float, n: int) -> float:
 # Monte Carlo and integral cross-checks
 # ---------------------------------------------------------------------------
 
-def _merge_mean_m2(a: tuple[float, float, int], b: tuple[float, float, int]
-                   ) -> tuple[float, float, int]:
-    """Associative merge of (mean, M2, count) accumulators."""
-    mean_a, m2_a, n_a = a
-    mean_b, m2_b, n_b = b
-    if n_a == 0:
-        return b
-    if n_b == 0:
-        return a
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * n_b / n
-    m2 = m2_a + m2_b + delta * delta * n_a * n_b / n
-    return mean, m2, n
-
-
-def mean_real_count(p: EllipticParams, trials: int, seed: int,
-                    chunk: int = 4096) -> tuple[float, float]:
+def mean_real_count(p: EllipticParams, trials: int,
+                    seed: int) -> tuple[float, float]:
     """Monte Carlo estimate (mean, stderr) of the number of real eigenvalues.
 
-    Trials are split into fixed chunks with one Philox stream each and merged
-    with the associative (mean, M2) rule, so the result does not depend on
-    evaluation order.  No parity or tau restriction; for tau = 1 every
-    eigenvalue is real and the standard error is exactly zero.
+    Draws follow `elliptic_batches`.  The mean and standard error come from
+    the exact integer sum and sum of squares of the per-draw counts, so both
+    are correctly rounded and independent of the batching.  No parity or tau
+    restriction; for tau = 1 every eigenvalue is real and the standard error
+    is exactly zero.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    acc = (0.0, 0.0, 0)
-    remaining = trials
-    sid = 0
-    while remaining > 0:
-        take = min(chunk, remaining)
-        counts = real_eigenvalue_counts(
-            sample_elliptic_batch(p, take, seed, stream_id=sid)).astype(float)
-        mean = counts.mean()
-        m2 = float(((counts - mean) ** 2).sum())
-        acc = _merge_mean_m2(acc, (float(mean), m2, take))
-        remaining -= take
-        sid += 1
-    mean, m2, n = acc
-    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return mean, stderr
+    total = squares = 0
+    # map() releases each batch before the next one is drawn
+    for counts, _ in map(real_eigenvalue_values,
+                         elliptic_batches(p, trials, seed)):
+        total += int(counts.sum())
+        squares += int(counts @ counts)
+    # trials times the sum of squared deviations from the mean, exactly
+    m2 = trials * squares - total * total
+    stderr = (math.sqrt(m2 / (trials * trials * (trials - 1)))
+              if trials > 1 else 0.0)
+    return total / trials, stderr
 
 
 def expected_real_count(p: EllipticParams, rel_tol: float = 1e-10) -> float:
@@ -458,23 +446,19 @@ class DensityProfile:
     """Tabulated real-eigenvalue density with evaluation metadata.
 
     `grid` holds rescaled positions lam = x / sqrt(N); `values` the density
-    rho(lam sqrt(N)).  `normalization` is the expected total number of real
-    eigenvalues associated with the profile.
+    rho(lam sqrt(N)).
     """
 
     grid: np.ndarray
     values: np.ndarray
-    normalization: float
-    method: str  # exact-hermite | bulk-asymptotic | edge-asymptotic | outside-asymptotic | monte-carlo
+    method: str  # exact-hermite | monte-carlo
     n: int
     tau: float
-    tolerance: float | None = None
     seed: int | None = None
     stderr: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
-    _METHODS = ("exact-hermite", "bulk-asymptotic", "edge-asymptotic",
-                "outside-asymptotic", "monte-carlo")
+    _METHODS = ("exact-hermite", "monte-carlo")
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -492,46 +476,40 @@ class DensityProfile:
         lam_max = support_lambda_max(p.n, p.tau, rel=rel)
         grid = _chebyshev_grid(lam_max, num)
         values = rho_real_exact(p, grid * math.sqrt(p.n))
-        return cls(grid=grid, values=values,
-                   normalization=expected_real_count(p),
-                   method="exact-hermite", n=p.n, tau=p.tau, tolerance=rel)
+        return cls(grid=grid, values=values, method="exact-hermite",
+                   n=p.n, tau=p.tau)
 
     @classmethod
     def monte_carlo(cls, p: EllipticParams, trials: int, seed: int,
-                    bins: int = 25, lam_max: float | None = None,
-                    chunk: int = 4096) -> "DensityProfile":
-        """Histogram estimate of the density on `bins` equal lam-bins."""
+                    bins: int = 25,
+                    lam_max: float | None = None) -> "DensityProfile":
+        """Histogram estimate of the density on `bins` equal lam-bins.
+
+        Draws follow `elliptic_batches`.
+        """
         if lam_max is None:
             lam_max = (1.0 + p.tau) + 6.0 / math.sqrt(p.n)
         edges = np.linspace(-lam_max, lam_max, bins + 1)
         sums = np.zeros(bins)
         sqsums = np.zeros(bins)
-        total = 0
-        sid = 0
-        remaining = trials
-        while remaining > 0:
-            take = min(chunk, remaining)
-            mats = sample_elliptic_batch(p, take, seed, stream_id=sid)
-            counts, vals = real_eigenvalue_values(mats)
+        # map() releases each batch before the next one is drawn
+        for counts, vals in map(real_eigenvalue_values,
+                                elliptic_batches(p, trials, seed)):
             lam = vals / math.sqrt(p.n)
             idx = np.searchsorted(edges, lam, side="right") - 1
             ok = (idx >= 0) & (idx < bins)
-            per_draw = np.zeros((take, bins))
-            ev_draw = np.repeat(np.arange(take), counts)
+            per_draw = np.zeros((len(counts), bins))
+            ev_draw = np.repeat(np.arange(len(counts)), counts)
             np.add.at(per_draw, (ev_draw[ok], idx[ok]), 1.0)
             sums += per_draw.sum(axis=0)
             sqsums += (per_draw ** 2).sum(axis=0)
-            total += take
-            remaining -= take
-            sid += 1
-        mean = sums / total
-        var = (sqsums / total - mean ** 2) * total / max(total - 1, 1)
-        stderr_counts = np.sqrt(var / total)
+        mean = sums / trials
+        var = (sqsums / trials - mean ** 2) * trials / max(trials - 1, 1)
+        stderr_counts = np.sqrt(var / trials)
         width_x = np.diff(edges) * math.sqrt(p.n)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        return cls(grid=centers, values=mean / width_x,
-                   normalization=float(sums.sum() / total),
-                   method="monte-carlo", n=p.n, tau=p.tau, seed=seed,
+        return cls(grid=centers, values=mean / width_x, method="monte-carlo",
+                   n=p.n, tau=p.tau, seed=seed,
                    stderr=stderr_counts / width_x,
                    metadata={"bins": bins, "trials": trials,
                              "bin_edges": edges.tolist()})

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (EllipticParams, log_rho_real_exact, rho_real_edge,
-                       sample_elliptic_batch, support_lambda_max)
+from .elliptic import (EllipticParams, elliptic_batches, log_rho_real_exact,
+                       rho_real_edge, support_lambda_max)
 from .errors import DomainError, ParameterError
 from .field_model import CovariancePair
 from .quadrature import log_quad
@@ -234,11 +234,12 @@ class DetIdentityReport:
 
 
 def validate_det_identity(tau: float, n: int, lam: float, trials: int,
-                          seed: int, chunk: int = 8192) -> DetIdentityReport:
+                          seed: int) -> DetIdentityReport:
     """Compare E|det(X - lam sqrt(N))| over (N-1)-size draws with the density.
 
     The reference value is ``2 (N-2)!! sqrt(1+tau) exp(N lam^2/(2(1+tau)))
-    rho_N(lam sqrt N)``.  Everything is accumulated in log space.
+    rho_N(lam sqrt N)``.  Everything is accumulated in log space.  Draws
+    follow `elliptic_batches` in batches of 8192.
     """
     _require_even(n)
     if not (-1.0 < tau < 1.0):
@@ -250,16 +251,9 @@ def validate_det_identity(tau: float, n: int, lam: float, trials: int,
     p_small = EllipticParams(n - 1, tau)
     shift = lam * math.sqrt(n) * np.eye(n - 1)
 
-    logs = np.empty(trials)
-    done = 0
-    sid = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        mats = sample_elliptic_batch(p_small, take, seed, stream_id=sid)
-        _, logabs = np.linalg.slogdet(mats - shift)
-        logs[done:done + take] = logabs
-        done += take
-        sid += 1
+    logs = np.concatenate([
+        np.linalg.slogdet(mats - shift)[1]
+        for mats in elliptic_batches(p_small, trials, seed, chunk=8192)])
     m = logs.max()
     scaled = np.exp(logs - m)
     mean_scaled = float(scaled.mean())

@@ -22,7 +22,6 @@ from sphere_equilibria.elliptic import (DensityProfile, EllipticParams,
                                         expected_counts_in_bins,
                                         expected_real_count, hermite_tau,
                                         log_rho_real_exact, mean_real_count,
-                                        real_eigenvalue_counts,
                                         real_eigenvalue_values,
                                         real_eigenvalues, rho_real_bulk,
                                         rho_real_edge, rho_real_exact,
@@ -151,7 +150,7 @@ class TestRealEigenvalues:
 
     def test_schur_and_batch_paths_agree(self):
         mats = sample_elliptic_batch(EllipticParams(7, 0.4), 200, 3)
-        counts = real_eigenvalue_counts(mats)
+        counts, _ = real_eigenvalue_values(mats)
         for i in range(len(mats)):
             assert counts[i] == len(real_eigenvalues(mats[i]))
 
@@ -352,11 +351,21 @@ class TestMonteCarloCounting:
         mean, stderr = mean_real_count(p, 100_000, 3)
         assert abs(mean - expected_real_count(p)) < 3 * stderr
 
-    def test_chunking_does_not_change_result(self):
+    def test_schedule_and_exact_statistic(self):
+        # 5000 trials span one batch boundary: 4096 draws from stream 0 of
+        # the seed, then 904 from stream 1; the statistic is that of the
+        # concatenated integer counts, correctly rounded
         p = EllipticParams(4, 0.2)
-        a = mean_real_count(p, 3000, 5, chunk=512)
-        b = mean_real_count(p, 3000, 5, chunk=512)
-        assert a == b
+        counts = np.concatenate([
+            real_eigenvalue_values(sample_elliptic_batch(p, 4096, 5, 0))[0],
+            real_eigenvalue_values(sample_elliptic_batch(p, 904, 5, 1))[0]])
+        n, total = 5000, int(counts.sum())
+        m2 = n * int(counts @ counts) - total * total
+        mean, stderr = mean_real_count(p, n, 5)
+        assert mean == total / n
+        assert stderr == math.sqrt(m2 / (n * n * (n - 1)))
+        assert stderr == pytest.approx(counts.std(ddof=1) / math.sqrt(n),
+                                       rel=1e-12)
 
 
 class TestDensityProfile:
