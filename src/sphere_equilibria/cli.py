@@ -23,7 +23,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -85,11 +86,6 @@ def _coerce(value, key, typ, where):
     return value
 
 
-_MODEL_KEYS = {"n", "j1", "j2", "alpha1", "alpha2", "sigma", "field_free"}
-_SOLVER_KEYS = {"n_starts", "tol", "dedup_radius", "max_iter", "max_halvings",
-                "max_dim"}
-
-
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
@@ -97,17 +93,24 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
             f"field '{where}': unknown keys {', '.join(unknown)}")
 
 
-def _model_params(d: dict, where: str = "model") -> ModelParams:
-    _reject_unknown(d, _MODEL_KEYS, where)
+def _from_fields(cls, d: dict, where: str, skip=()):
+    """Build the dataclass `cls` from the config object `d`.
+
+    The allowed keys, their types and their defaults are the fields of `cls`
+    (``int | None`` reads as int); a field without a default is required.
+    Fields named in `skip` are not read and keep their defaults.
+    """
+    hints = typing.get_type_hints(cls)
+    read = [f for f in fields(cls) if f.name not in skip]
+    _reject_unknown(d, {f.name for f in read}, where)
+    kwargs = {}
+    for f in read:
+        typ = next((t for t in typing.get_args(hints[f.name])
+                    if t is not type(None)), hints[f.name])
+        kwargs[f.name] = (_need(d, f.name, typ, where) if f.default is MISSING
+                          else _opt(d, f.name, typ, f.default, where))
     try:
-        return ModelParams(
-            n=_need(d, "n", int, where),
-            j1=_opt(d, "j1", float, 1.0, where),
-            j2=_opt(d, "j2", float, 0.0, where),
-            alpha1=_opt(d, "alpha1", float, 0.0, where),
-            alpha2=_opt(d, "alpha2", float, 0.0, where),
-            sigma=_opt(d, "sigma", float, 0.0, where),
-            field_free=_opt(d, "field_free", bool, False, where))
+        return cls(**kwargs)
     except ParameterError as exc:
         raise ParameterError(f"field '{where}': {exc}") from exc
 
@@ -118,26 +121,18 @@ def _covariance_values(d: dict, where: str) -> tuple[float, float, float]:
         _reject_unknown(d, {"phi1_1", "dphi1_1", "phi2_1"}, where)
         return (_need(d, "phi1_1", float, where), _need(d, "dphi1_1", float, where),
                 _need(d, "phi2_1", float, where))
-    cov = covariance_pair(_model_params({**d, "n": d.get("n", 2)}, where))
+    cov = covariance_pair(_from_fields(ModelParams, {**d, "n": d.get("n", 2)},
+                                       where))
     return cov.phi1(1.0), cov.dphi1(1.0), cov.phi2(1.0)
 
 
 def _solver_options(d: dict, seed: int, where: str = "solver") -> SolverOptions:
-    _reject_unknown(d, _SOLVER_KEYS, where)
-    return SolverOptions(
-        n_starts=_opt(d, "n_starts", int, None, where),
-        tol=_opt(d, "tol", float, 1e-10, where),
-        dedup_radius=_opt(d, "dedup_radius", float, None, where),
-        max_iter=_opt(d, "max_iter", int, 80, where),
-        max_halvings=_opt(d, "max_halvings", int, 50, where),
-        seed=seed,
-        max_dim=_opt(d, "max_dim", int, 10, where))
+    return replace(_from_fields(SolverOptions, d, where, skip=("seed",)),
+                   seed=seed)
 
 
 def _solver_dict(opts: SolverOptions) -> dict:
-    return {"n_starts": opts.n_starts, "tol": opts.tol,
-            "dedup_radius": opts.dedup_radius, "max_iter": opts.max_iter,
-            "max_halvings": opts.max_halvings, "max_dim": opts.max_dim}
+    return {k: v for k, v in asdict(opts).items() if k != "seed"}
 
 
 def parse_config(path, strict: bool = False) -> ExperimentConfig:
@@ -191,7 +186,8 @@ def _norm_predict_sweep(raw: dict) -> dict:
 
 
 def _norm_mc_count(raw: dict) -> dict:
-    params = _model_params(_need(raw, "model", dict, "config"))
+    params = _from_fields(ModelParams, _need(raw, "model", dict, "config"),
+                          "model")
     instances = _need(raw, "instances", int, "config")
     if instances < 1:
         raise ParameterError("field 'instances' must be >= 1")
@@ -232,7 +228,8 @@ def _norm_det_identity(raw: dict) -> dict:
 
 
 def _norm_dynamics(raw: dict) -> dict:
-    params = _model_params(_need(raw, "model", dict, "config"))
+    params = _from_fields(ModelParams, _need(raw, "model", dict, "config"),
+                          "model")
     starts = _need(raw, "starts", int, "config")
     if starts < 1:
         raise ParameterError("field 'starts' must be >= 1")
@@ -254,9 +251,10 @@ def _norm_transition(raw: dict) -> dict:
     n = _need(raw, "n", int, "config")
     if n % 2 or n < 2:
         raise ParameterError(f"field 'n' must be even and >= 2, got {n}")
-    params = _model_params({**model_raw, "n": n, "sigma": 0.0})
+    params = _from_fields(ModelParams, {**model_raw, "n": n, "sigma": 0.0},
+                          "model")
     cov = covariance_pair(params)
-    sigma_c = math.sqrt(cov.dphi1(1.0) - cov.phi1(1.0))
+    sigma_c = derived_params(cov, 0.0).sigma_c
     if "sigma_grid" in raw and raw["sigma_grid"] is not None:
         grid = [float(s) for s in raw["sigma_grid"]]
     else:
@@ -509,6 +507,7 @@ def _run_transition_curve(cfg: ExperimentConfig, out: str, threads: int,
     base = ModelParams.from_dict(cfg.payload["model"])
     n = cfg.payload["n"]
     cov = covariance_pair(base)
+    solver = _solver_options(cfg.payload["solver"], 0)
     rows = []
     n_unsat = 0
     for i, sigma in enumerate(cfg.payload["sigma_grid"]):
@@ -524,11 +523,8 @@ def _run_transition_curve(cfg: ExperimentConfig, out: str, threads: int,
                "" if exact is None else exact.log_value,
                asym.regime, asym.value]
         if cfg.payload["mc_instances"] > 0:
-            params = ModelParams(n=n, j1=base.j1, j2=base.j2,
-                                 alpha1=base.alpha1, alpha2=base.alpha2,
-                                 sigma=sigma)
-            solver = _solver_options(cfg.payload["solver"], 0)
-            res = mc_mean_count(params, cfg.payload["mc_instances"], solver,
+            res = mc_mean_count(replace(base, sigma=sigma),
+                                cfg.payload["mc_instances"], solver,
                                 seed=derive_seed(cfg.seed, f"curve-{i}"),
                                 strict=strict, threads=threads)
             n_unsat += res.n_unsaturated
