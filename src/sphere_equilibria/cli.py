@@ -240,6 +240,8 @@ def _norm_dynamics(raw: dict) -> dict:
     if t_max is not None and t_max <= 0:
         raise ParameterError("field 't_max' must be positive")
     v_tol = _opt(raw, "v_tol", float, 1e-8, "config")
+    if v_tol <= 0:
+        raise ParameterError("field 'v_tol' must be positive")
     solver = _solver_options(_opt(raw, "solver", dict, {}, "config"), 0)
     return {"model": params.to_dict(), "starts": starts, "dt": dt,
             "t_max": t_max, "v_tol": v_tol, "solver": _solver_dict(solver),

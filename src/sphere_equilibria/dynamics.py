@@ -190,8 +190,9 @@ def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
     dt = opts.dt if opts.dt is not None else default_dt(inst)
     # 8000 default-sized steps = 80 units of the slowest field scale
     t_max = opts.t_max if opts.t_max is not None else 8000.0 * dt
-    if not (dt > 0 and t_max > 0):
-        raise ParameterError(f"dt and t_max must be positive, got {dt} and {t_max}")
+    if not (dt > 0 and t_max > 0 and opts.v_tol > 0):
+        raise ParameterError("dt, t_max and v_tol must be positive, got "
+                             f"{dt}, {t_max} and {opts.v_tol}")
     x_end = _check_start(inst, x0s).copy()
     t_done = np.full(len(x_end), np.nan)
     act = np.arange(len(x_end))  # rows still integrating, in row order

@@ -227,6 +227,15 @@ class TestMainExitCodes:
         assert "t_max" in err["error"]["message"]
         assert not os.path.exists(tmp_path / "o")
 
+    def test_nonpositive_v_tol_is_config_error(self, tmp_path, capsys):
+        payload = {"kind": "dynamics", "starts": 3, "t_max": 1, "v_tol": -1,
+                   "model": {"n": 4, "j1": 1.0, "j2": 1.0, "sigma": 3.0}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert "v_tol" in err["error"]["message"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_strict_unsaturated_exit_code(self, tmp_path):
         payload = {"kind": "mc-count",
                    "model": {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3,

@@ -163,10 +163,13 @@ class TestRunToEquilibrium:
     @pytest.mark.parametrize("opts", [DynamicsOptions(dt=-0.01),
                                       DynamicsOptions(dt=0.0),
                                       DynamicsOptions(t_max=-2.0),
-                                      DynamicsOptions(t_max=0.0)])
+                                      DynamicsOptions(t_max=0.0),
+                                      DynamicsOptions(v_tol=0.0),
+                                      DynamicsOptions(v_tol=-1.0)])
     def test_nonpositive_time_inputs_rejected(self, opts):
         # a negative dt would integrate backward and report convergence at
-        # a negative time; a nonpositive t_max would take no step at all
+        # a negative time; a nonpositive t_max would take no step at all; no
+        # row can pass a nonpositive v_tol
         p = ModelParams(n=4, j1=1, j2=1, sigma=1.0)
         inst = sample_field(p, 1)
         x0 = np.array([2.0, 0.0, 0.0, 0.0])
