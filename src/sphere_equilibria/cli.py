@@ -233,18 +233,12 @@ def _norm_dynamics(raw: dict) -> dict:
     starts = _need(raw, "starts", int, "config")
     if starts < 1:
         raise ParameterError("field 'starts' must be >= 1")
-    dt = _opt(raw, "dt", float, None, "config")
-    if dt is not None and dt <= 0:
-        raise ParameterError("field 'dt' must be positive")
-    t_max = _opt(raw, "t_max", float, None, "config")
-    if t_max is not None and t_max <= 0:
-        raise ParameterError("field 't_max' must be positive")
-    v_tol = _opt(raw, "v_tol", float, 1e-8, "config")
-    if v_tol <= 0:
-        raise ParameterError("field 'v_tol' must be positive")
+    opts = _from_fields(DynamicsOptions,
+                        {f.name: raw[f.name] for f in fields(DynamicsOptions)
+                         if f.name in raw}, "config")
     solver = _solver_options(_opt(raw, "solver", dict, {}, "config"), 0)
-    return {"model": params.to_dict(), "starts": starts, "dt": dt,
-            "t_max": t_max, "v_tol": v_tol, "solver": _solver_dict(solver),
+    return {"model": params.to_dict(), "starts": starts, **asdict(opts),
+            "solver": _solver_dict(solver),
             "instance_seed": _opt(raw, "instance_seed", int, None, "config")}
 
 

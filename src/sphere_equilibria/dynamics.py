@@ -141,9 +141,20 @@ def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
 
 @dataclass(frozen=True)
 class DynamicsOptions:
+    """RK4 controls: `dt=None` takes `default_dt`, `t_max=None` 8000 dt."""
+
     dt: float | None = None
     t_max: float | None = None
     v_tol: float = 1e-8
+
+    def __post_init__(self):
+        # a negative dt would integrate backward and report convergence at a
+        # negative time; a nonpositive t_max would take no step at all; no
+        # row can pass a nonpositive v_tol
+        for name in ("dt", "t_max", "v_tol"):
+            v = getattr(self, name)
+            if v is not None and not v > 0:
+                raise ParameterError(f"{name} must be positive, got {v}")
 
 
 # RK4 steps between velocity checks of `run_to_equilibrium_batch`
@@ -190,9 +201,6 @@ def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
     dt = opts.dt if opts.dt is not None else default_dt(inst)
     # 8000 default-sized steps = 80 units of the slowest field scale
     t_max = opts.t_max if opts.t_max is not None else 8000.0 * dt
-    if not (dt > 0 and t_max > 0 and opts.v_tol > 0):
-        raise ParameterError("dt, t_max and v_tol must be positive, got "
-                             f"{dt}, {t_max} and {opts.v_tol}")
     x_end = _check_start(inst, x0s).copy()
     t_done = np.full(len(x_end), np.nan)
     act = np.arange(len(x_end))  # rows still integrating, in row order

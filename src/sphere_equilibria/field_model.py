@@ -247,9 +247,9 @@ class FieldInstance:
         """Coupling field f(x); accepts a single point (N,) or a batch (..., N).
 
         ``f_k = sum_j J1_kj x_j + sum_{nm} J2_knm x_n x_m`` (no magnetic term).
-        The quadratic term is contracted on an (N, ...) copy of x, so the batch
-        axis is numpy's inner loop; the (n, m) summation order, and with it
-        every bit, is that of ``einsum("knm,...n,...m->...k", J2, x, x)``.
+        The quadratic term is contracted on a transposed (N, ...) copy of x, so
+        the batch axis is numpy's inner loop; the (n, m) summation order, and
+        with it every bit, is that of ``einsum("knm,...n,...m->...k", J2, x, x)``.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n:
@@ -257,9 +257,8 @@ class FieldInstance:
         if not np.all(np.isfinite(x)):
             raise ParameterError("x must be finite")
         lin = x @ self.j1_matrix.T
-        xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-        lin += np.moveaxis(
-            np.einsum("knm,n...,m...->k...", self.j2_tensor, xt, xt), 0, -1)
+        xt = np.ascontiguousarray(x.T)
+        lin += np.einsum("knm,n...,m...->k...", self.j2_tensor, xt, xt).T
         return lin
 
     def eval_jacobian(self, x: np.ndarray) -> np.ndarray:

@@ -9,10 +9,12 @@ step uses the analytic field Jacobian plus the bordering row/column, damped by
 residual-monotone step halving.  A row whose full step fails the Armijo test
 tries the halving levels t = 2^-k lazily, in doubling blocks of levels
 (1-2, 3-6, 7-14, ... up to `max_halvings`), and leaves at the first block that
-holds an accepted level.  Converged starts are deduplicated in start order by
-Euclidean distance in x (lam is a function of x at a root), one vectorized
-pass per root, and a saturation heuristic flags instances whose discovery
-curve was still rising.
+holds an accepted level.  The constraint term C = |x|^2 - N costs O(N) and
+bounds the residual from below, so a candidate whose |C| already fails the
+Armijo bound is rejected without evaluating the field.  Converged starts are
+deduplicated in start order by Euclidean distance in x (lam is a function of
+x at a root), one vectorized pass per root, and a saturation heuristic flags
+instances whose discovery curve was still rising.
 """
 
 from __future__ import annotations
@@ -105,13 +107,45 @@ def default_n_starts(params: ModelParams) -> int:
     return int(min(max(budget, 64), 10_000))
 
 
-def _system_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, C, max-norm residual) of the equilibrium system, batched."""
-    f = inst.drift(x) - lam[..., None] * x
+def _system_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray,
+                     bound=np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, C, max-norm residual) of the equilibrium system, batched.
+
+    The residual max(|F|_inf, |C|) is at least |C|, so a row whose |C| alone
+    exceeds `bound` cannot meet ``res <= bound``: it gets res = |C| and an
+    unset F row, and its field is not evaluated.  A non-finite C is always
+    evaluated, so that non-finite points still raise in `eval_field`.  A lone
+    survivor of a larger batch is evaluated padded to two rows: numpy sends a
+    one-row product to BLAS gemv, whose rounding differs from the gemm that
+    evaluates it in any larger batch.
+    """
     c = (x * x).sum(axis=-1) - inst.n
-    res = np.maximum(np.abs(f).max(axis=-1), np.abs(c))
+    res = np.abs(c)
+    live = np.flatnonzero(~(res > bound) | ~np.isfinite(c))
+    if live.size == len(c):
+        return _field_residual(inst, x, lam, res), c, res
+    f = np.empty_like(x)
+    if live.size:
+        rows = live if live.size > 1 else live.repeat(2)
+        res_rows = res[rows]
+        f[live] = _field_residual(inst, x[rows], lam[rows],
+                                  res_rows)[:live.size]
+        res[live] = res_rows[:live.size]
     return f, c, res
+
+
+def _field_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray,
+                    res: np.ndarray) -> np.ndarray:
+    """F = h + f(x) - lam x; folds |F|_inf into `res` (holding |C|) in place.
+
+    The running maximum over the N columns is exact, so it equals
+    ``np.maximum(np.abs(F).max(-1), res)`` bit for bit, NaN rows included.
+    """
+    f = inst.drift(x) - lam[..., None] * x
+    abs_f = np.abs(f)
+    for k in range(f.shape[-1]):
+        np.maximum(res, abs_f[..., k], out=res)
+    return f
 
 
 def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
@@ -176,12 +210,16 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
         # t = 2^-k in doubling blocks 1-2, 3-6, 7-14, ... (capped at
         # max_halvings); a row leaves at the first block holding a level that
         # passes the Armijo test and takes the first such level.  Every block
-        # has two or more levels, so no candidate batch is a single row:
-        # numpy sends a one-row product to BLAS gemv, whose rounding differs
-        # from the gemm that evaluates every larger batch.
+        # below the cap has two or more levels, so a candidate batch is a
+        # single row only when one row searches a one-level last block: numpy
+        # sends a one-row product to BLAS gemv, whose rounding differs from
+        # the gemm that evaluates every larger batch.  The field is evaluated
+        # only on candidates whose constraint term |C| is within the Armijo
+        # bound (see `_system_residual`).
         xt, lt = xa + delta[:, :n], la + delta[:, n]
-        ft, ct, rt = _system_residual(inst, xt, lt)
-        accepted = rt <= (1.0 - 1e-4) * ra
+        bound = (1.0 - 1e-4) * ra
+        ft, ct, rt = _system_residual(inst, xt, lt, bound)
+        accepted = rt <= bound
         rem = np.flatnonzero(~accepted)
         lo_level, hi_level = 1, 2
         while rem.size and lo_level <= opts.max_halvings:
@@ -189,10 +227,11 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
                                      min(hi_level, opts.max_halvings) + 1)
             cand_x = xa[rem, None, :] + tgrid[None, :, None] * delta[rem, None, :n]
             cand_l = la[rem, None] + tgrid[None, :] * delta[rem, None, n]
+            bound = (1.0 - 1e-4 * tgrid[None, :]) * ra[rem, None]
             fc, cc, rc = _system_residual(
-                inst, cand_x.reshape(-1, n), cand_l.ravel())
+                inst, cand_x.reshape(-1, n), cand_l.ravel(), bound.ravel())
             rc = rc.reshape(rem.size, -1)
-            ok = rc <= (1.0 - 1e-4 * tgrid[None, :]) * ra[rem, None]
+            ok = rc <= bound
             took = ok.any(axis=1)
             rows = rem[took]
             sel = ok[took].argmax(axis=1)

@@ -160,12 +160,9 @@ class TestRunToEquilibrium:
         with pytest.raises(ParameterError):
             default_dt(inst)
 
-    @pytest.mark.parametrize("opts", [DynamicsOptions(dt=-0.01),
-                                      DynamicsOptions(dt=0.0),
-                                      DynamicsOptions(t_max=-2.0),
-                                      DynamicsOptions(t_max=0.0),
-                                      DynamicsOptions(v_tol=0.0),
-                                      DynamicsOptions(v_tol=-1.0)])
+    @pytest.mark.parametrize("opts", [dict(dt=-0.01), dict(dt=0.0),
+                                      dict(t_max=-2.0), dict(t_max=0.0),
+                                      dict(v_tol=0.0), dict(v_tol=-1.0)])
     def test_nonpositive_time_inputs_rejected(self, opts):
         # a negative dt would integrate backward and report convergence at
         # a negative time; a nonpositive t_max would take no step at all; no
@@ -174,7 +171,7 @@ class TestRunToEquilibrium:
         inst = sample_field(p, 1)
         x0 = np.array([2.0, 0.0, 0.0, 0.0])
         with pytest.raises(ParameterError, match="positive"):
-            run_to_equilibrium(inst, x0, opts)
+            run_to_equilibrium(inst, x0, DynamicsOptions(**opts))
 
 
 # run_to_equilibrium_batch on 12 starts at sigma_c, recorded before the RK4

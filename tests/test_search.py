@@ -186,6 +186,30 @@ class TestPinnedOutputs:
         assert rep.n_converged_starts == n_conv
         assert rep.saturated
 
+    def test_three_halvings_small_budget(self, monkeypatch):
+        # with max_halvings = 3 the last halving block is the single level 3,
+        # so a row searching alone there is a one-row candidate batch, and
+        # lone survivors of the constraint screen are common
+        one_row = []
+        residual = search._system_residual
+
+        def counting(inst, x, lam, *bound):
+            one_row.append(len(x) == 1)
+            return residual(inst, x, lam, *bound)
+
+        monkeypatch.setattr(search, "_system_residual", counting)
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
+        rep = find_equilibria(sample_field(p, 0),
+                              SolverOptions(n_starts=40, max_halvings=3, seed=0))
+        assert rep.n_found == 10
+        assert [pt.basin_hits for pt in rep.points] == [1, 3, 3, 5, 1, 6, 3, 2,
+                                                        1, 4]
+        assert rep.n_converged_starts == 29
+        assert rep.saturated
+        # one one-row call per root reports its residual; the rest are
+        # one-row candidate batches of the line search
+        assert sum(one_row) > rep.n_found
+
 
 def dedup_by_pairs(xs, radius):
     """Reference dedup: each point joins the first earlier representative
@@ -234,6 +258,65 @@ class TestDedup:
         assert search._dedup(np.empty((0, 3)), self.R) == ([], [])
         xs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert search._dedup(xs, 0.0) == ([0, 2], [2, 1])
+
+
+class TestSystemResidual:
+    @staticmethod
+    def instance(n):
+        p = ModelParams(n=n, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.7)
+        return sample_field(p, n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_running_max_bit_equal_to_row_max(self, n):
+        inst = self.instance(n)
+        rng = np.random.default_rng(n)
+        x = 2.0 * rng.standard_normal((40, n))
+        lam = rng.standard_normal(40)
+        lam[3], lam[4], lam[5] = np.nan, np.inf, -np.inf
+        x[6] *= 1e160  # |x|^2 and the quadratic term overflow
+        x[7, 0], lam[7] = 0.0, np.inf  # inf * 0 = NaN in one column
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, c, res = search._system_residual(inst, x, lam)
+        want = np.maximum(np.abs(f).max(axis=-1), np.abs(c))
+        assert np.isnan(res[[3, 7]]).all() and np.isinf(res[[4, 5]]).all()
+        assert not np.isfinite(res[6])
+        assert res.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_screen_keeps_the_bits_of_every_survivor(self, n):
+        inst = self.instance(n)
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((7, n))
+        x = (math.sqrt(n) * g / np.linalg.norm(g, axis=1, keepdims=True)
+             * (1.0 + 0.1 * rng.random((7, 1))))
+        lam = rng.standard_normal(7)
+        f0, c0, r0 = search._system_residual(inst, x, lam)
+        # every lone survivor (in particular), then larger survivor sets
+        for live in [[], *([i] for i in range(7)), [2, 5], [0, 1, 3, 6]]:
+            bound = np.full(7, 0.5) * np.abs(c0)
+            bound[live] = np.inf
+            f, c, res = search._system_residual(inst, x, lam, bound)
+            dead = np.setdiff1d(np.arange(7), live)
+            assert c.tobytes() == c0.tobytes()
+            assert f[live].tobytes() == f0[live].tobytes()
+            assert res[live].tobytes() == r0[live].tobytes()
+            assert res[dead].tobytes() == np.abs(c0[dead]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_step_raises(self, monkeypatch, bad):
+        # a non-finite candidate has a non-finite |x|^2 - N; it must reach
+        # the field's finiteness check, not be screened out as failing
+        solve = search._solve_batch
+
+        def poisoned(a_mat, rhs):
+            delta = solve(a_mat, rhs)
+            delta[-1] = bad
+            return delta
+
+        monkeypatch.setattr(search, "_solve_batch", poisoned)
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
+        with pytest.raises(ParameterError, match="finite"):
+            find_equilibria(sample_field(p, 1), SolverOptions(n_starts=20))
 
 
 class TestStartBudget:
