@@ -187,9 +187,10 @@ class TestPinnedOutputs:
         assert rep.saturated
 
     def test_three_halvings_small_budget(self, monkeypatch):
-        # with max_halvings = 3 the last halving block is the single level 3,
-        # so a row searching alone there is a one-row candidate batch, and
-        # lone survivors of the constraint screen are common
+        # recorded before the constraint screen of the line search: with
+        # max_halvings = 3 the last halving block is the single level 3, so a
+        # row searching alone there is a one-row candidate batch, and lone
+        # survivors of the screen are common
         one_row = []
         residual = search._system_residual
 
@@ -291,9 +292,9 @@ class TestSystemResidual:
              * (1.0 + 0.1 * rng.random((7, 1))))
         lam = rng.standard_normal(7)
         f0, c0, r0 = search._system_residual(inst, x, lam)
-        # every lone survivor (in particular), then larger survivor sets
+        # each row as a lone survivor, then larger survivor sets
         for live in [[], *([i] for i in range(7)), [2, 5], [0, 1, 3, 6]]:
-            bound = np.full(7, 0.5) * np.abs(c0)
+            bound = 0.5 * np.abs(c0)
             bound[live] = np.inf
             f, c, res = search._system_residual(inst, x, lam, bound)
             dead = np.setdiff1d(np.arange(7), live)
