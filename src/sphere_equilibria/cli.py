@@ -27,7 +27,6 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._rng import derive_seed, stream
@@ -574,7 +573,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
         "master_seed": cfg.seed,
         "unknown_keys_ignored": cfg.unknown_keys,
         "versions": {"sphere_equilibria": __version__,
-                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "outputs": summary.get("outputs", []),
         "wall_time_s": time.time() - t0,

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from ._rng import stream
 from .errors import DomainError, NumericalError, ParameterError
@@ -48,6 +46,9 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# elementwise erf/erfc from the C library; otypes lets them take empty arrays
+_erf = np.vectorize(math.erf, otypes=[float])
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,8 @@ def real_eigenvalues(x: np.ndarray) -> np.ndarray:
         raise ParameterError(f"expected a square matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ParameterError("matrix entries must be finite")
+    # imported here: the CLI never calls this oracle and need not load scipy
+    import scipy.linalg
     try:
         t, _ = scipy.linalg.schur(x, output="real")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -216,7 +219,7 @@ def _psi_hat_scan(n: int, tau: float, xs: np.ndarray
     # at most n terms below 1e200 each and cannot overflow
     part = np.zeros_like(xs)
     log_done = np.full_like(xs, -np.inf)
-    anti = math.sqrt(0.5 * math.pi * c) * scipy.special.erf(xs / math.sqrt(2.0 * c))
+    anti = math.sqrt(0.5 * math.pi * c) * _erf(xs / math.sqrt(2.0 * c))
 
     for k in range(n - 1):
         part += a_cur * a_cur
@@ -356,8 +359,8 @@ def rho_real_edge(zeta) -> np.ndarray:
     tends to 1/sqrt(2 pi) as z -> -inf and to e^{-z^2}/(2 sqrt(pi)) for large z.
     """
     z = np.asarray(zeta, dtype=float)
-    out = (scipy.special.erfc(np.sqrt(2.0) * z)
-           + np.exp(-z * z) * (1.0 + scipy.special.erf(z)) / np.sqrt(2.0))
+    out = (_erfc(np.sqrt(2.0) * z)
+           + np.exp(-z * z) * (1.0 + _erf(z)) / np.sqrt(2.0))
     out = out / (2.0 * _SQRT_2PI)
     return out if out.ndim else float(out)
 

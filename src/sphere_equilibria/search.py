@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from ._rng import derive_seed, stream
 from .errors import DomainError, NumericalError, ParameterError
@@ -313,11 +312,16 @@ def tangent_spectrum_at(inst: FieldInstance, x: np.ndarray, lam: float
                         ) -> np.ndarray:
     """Eigenvalues of the flow linearization restricted to the tangent space.
 
-    With Q an orthonormal basis of the tangent space at x, the N-1
+    Q is the orthonormal basis of the tangent space at x that the SVD of the
+    1 x N row x gives: its last N-1 right singular vectors.  The N-1
     eigenvalues of ``Q^T (K - lam I) Q`` are returned sorted by (real, imag).
     """
     x = np.asarray(x, dtype=float)
-    q = scipy.linalg.null_space(x[None, :])
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("tangent spectrum needs a finite point x")
+    if not np.any(x):
+        raise ParameterError("tangent spectrum needs a nonzero point x")
+    q = np.linalg.svd(x[None, :])[2][1:].T
     k = inst.eval_jacobian(x)
     a = q.T @ (k - lam * np.eye(inst.n)) @ q
     try:
@@ -373,6 +377,8 @@ def mc_mean_count(params: ModelParams, n_instances: int,
     """
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     opts = opts or SolverOptions()
     if opts.n_starts is None:
         # one budget for the whole sweep (all instances share the params)

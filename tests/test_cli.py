@@ -20,6 +20,13 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def package_env():
+    """Environment for a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(sphere_equilibria.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 MINIMAL_SWEEP = {
     "kind": "predict-sweep",
     "model": {"j1": 1.0, "j2": 1.0, "alpha1": 0.3, "alpha2": 0.2},
@@ -121,9 +128,7 @@ class TestRunner:
     def test_row_bytes_independent_of_other_rows(self, tmp_path):
         # each sweep runs in a fresh interpreter, so no in-process state is
         # shared; the N=100, sigma=2 rows must not depend on what ran before
-        src = os.path.dirname(os.path.dirname(sphere_equilibria.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = package_env()
 
         def sigma2_rows(name, grid):
             payload = {**MINIMAL_SWEEP, "sigma_grid": grid, "n_list": [100]}
@@ -247,6 +252,18 @@ class TestMainExitCodes:
                      "--strict"])
         assert code == 4
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_code(self, tmp_path, capsys, threads):
+        payload = {"kind": "mc-count", "instances": 2,
+                   "model": {"n": 4, "j1": 1.0, "sigma": 1.0},
+                   "solver": {"n_starts": 10}}
+        path = write_config(tmp_path, payload)
+        code = main(["run", path, "--out-dir", str(tmp_path / "o"),
+                     "--threads", threads])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert "threads" in err["error"]["message"]
+
     def test_seed_override(self, tmp_path):
         payload = {"kind": "det-identity", "n": 4, "tau": 0.0,
                    "lambdas": [0.0], "trials": 1000, "seed": 3}
@@ -268,3 +285,36 @@ class TestMainExitCodes:
             rows = list(csv.reader(fh))
         assert rows[0][:4] == ["sigma", "b2", "exact_value", "exact_log_value"]
         assert len(rows) == 4
+
+
+CHILD_RUN = """
+import json, os, sys
+from sphere_equilibria import cli
+out = sys.argv[1]
+for name, payload in json.loads(sys.argv[2]).items():
+    path = os.path.join(out, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert cli.main(["run", path, "--out-dir", os.path.join(out, name)]) == 0
+print(json.dumps([m for m in ("scipy.linalg", "scipy.special")
+                  if m in sys.modules]))
+"""
+
+
+class TestImportGraph:
+    def test_cli_kinds_do_not_load_scipy(self, tmp_path):
+        # a fresh interpreter: this test process has scipy loaded already
+        configs = {
+            "sweep": MINIMAL_SWEEP,
+            "dyn": {"kind": "dynamics", "seed": 1, "starts": 5, "t_max": 1.0,
+                    "model": {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3,
+                              "alpha2": 0.2, "sigma": 1.0},
+                    "solver": {"n_starts": 200}},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD_RUN, str(tmp_path),
+             json.dumps(configs)],
+            env=package_env(), check=True, capture_output=True, text=True,
+            timeout=300)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert (tmp_path / "dyn" / "equilibria.json").exists()

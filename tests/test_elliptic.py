@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from sphere_equilibria import cli
 from sphere_equilibria.elliptic import (DensityProfile, EllipticParams,
-                                        _psi_hat_scan,
+                                        _erf, _erfc, _psi_hat_scan,
                                         expected_counts_in_bins,
                                         expected_real_count, hermite_tau,
                                         log_rho_real_exact, mean_real_count,
@@ -304,6 +304,14 @@ class TestAsymptoticProfiles:
         assert_allclose(rho_real_edge(0.0), want0, rtol=1e-12)
         assert_allclose(want0, 0.34052, rtol=1e-4)
 
+    def test_edge_profile_edge_inputs(self):
+        assert type(rho_real_edge(0.5)) is float
+        assert rho_real_edge(np.array([])).shape == (0,)
+        got = rho_real_edge(np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(got[0])
+        assert got[1] == 0.0
+        assert_allclose(got[2], 1.0 / math.sqrt(2 * math.pi), rtol=1e-15)
+
     def test_edge_gaussian_tail(self):
         z = 3.0
         assert_allclose(rho_real_edge(z),
@@ -335,6 +343,30 @@ class TestAsymptoticProfiles:
             rho_real_weak_nongradient(1.0, 2.0, 64)
         with pytest.raises(DomainError):
             rho_real_weak_nongradient(-0.1, 0.0, 64)
+
+
+class TestErf:
+    """The elementwise erf/erfc that the density scan and the edge law use."""
+
+    def test_accuracy_against_mpmath(self):
+        # up to x = 26, where erfc is ~1e-296 and still a normal double
+        xs = np.linspace(-6.0, 26.0, 3201)
+        with mp.workdps(40):
+            want_erf = np.array([float(mp.erf(x)) for x in xs])
+            want_erfc = np.array([float(mp.erfc(x)) for x in xs])
+        assert np.all(np.abs(_erf(xs) - want_erf) <= 1e-15 * np.abs(want_erf))
+        assert np.all(np.abs(_erfc(xs) - want_erfc)
+                      <= 1e-15 * np.abs(want_erfc))
+
+    def test_edge_inputs(self):
+        for f in (_erf, _erfc):
+            assert f(np.array([])).shape == (0,)
+            assert f(np.array([])).dtype == float
+            assert f(np.asarray(0.5)).shape == ()
+        assert _erf(0.5) == math.erf(0.5)
+        assert np.isnan(_erf(np.nan)) and np.isnan(_erfc(np.nan))
+        assert list(_erf(np.array([np.inf, -np.inf]))) == [1.0, -1.0]
+        assert list(_erfc(np.array([np.inf, -np.inf]))) == [0.0, 2.0]
 
 
 class TestMonteCarloCounting:

@@ -1,6 +1,8 @@
 """Multi-start Newton enumeration against analytic and spectral oracles."""
 
 import csv
+import functools
+import hashlib
 import json
 import math
 
@@ -14,7 +16,7 @@ from sphere_equilibria.errors import NumericalError, ParameterError
 from sphere_equilibria.field_model import ModelParams, sample_field
 from sphere_equilibria.search import (SolverOptions, default_n_starts,
                                       find_equilibria, mc_mean_count,
-                                      tangent_spectrum)
+                                      tangent_spectrum, tangent_spectrum_at)
 
 
 def field_free_instance(n=4, sigma=1.5, seed=7):
@@ -156,6 +158,18 @@ class TestReportInvariants:
         with pytest.raises(ParameterError):
             tangent_spectrum(inst, pt)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tangent_spectrum_at_rejects_non_finite_point(self, bad):
+        inst = field_free_instance()
+        with pytest.raises(ParameterError, match="finite"):
+            tangent_spectrum_at(inst, np.array([1.0, bad, 0.0, 1.0]), 0.5)
+
+    def test_tangent_spectrum_at_rejects_zero_point(self):
+        # x = 0 has no tangent space; the SVD would still return N-1 values
+        inst = field_free_instance()
+        with pytest.raises(ParameterError, match="nonzero"):
+            tangent_spectrum_at(inst, np.zeros(4), 0.5)
+
     def test_gradient_instance_real_spectrum(self):
         p = ModelParams(n=5, j1=1, j2=1, alpha1=1.0, alpha2=1.0, sigma=0.5)
         inst = sample_field(p, 3)
@@ -165,10 +179,19 @@ class TestReportInvariants:
             assert np.max(np.abs(pt.tangent_spectrum.imag)) < 1e-8
 
 
+@functools.cache
+def pinned_report(n, sigma, seed):
+    p = ModelParams(n=n, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma)
+    return find_equilibria(sample_field(p, seed), SolverOptions(seed=seed))
+
+
 class TestPinnedOutputs:
     """Integer outputs of fixed instances, recorded before the lazy line
     search, the batch-innermost field contraction and the vectorized dedup
     replaced their predecessors; all three must keep them bit for bit."""
+
+    # sigma = 1.039... is sigma_c of this model
+    INSTANCES = [(4, 0.0, 11), (4, 1.0392304845413265, 12), (8, 0.0, 13)]
 
     @pytest.mark.parametrize("n, sigma, seed, n_found, hits, n_conv", [
         (4, 0.0, 11, 8, [96, 86, 62, 69, 162, 133, 56, 103], 767),
@@ -178,13 +201,21 @@ class TestPinnedOutputs:
     ])
     def test_counts_hits_and_saturation(self, n, sigma, seed, n_found, hits,
                                         n_conv):
-        # sigma = 1.039... is sigma_c of this model
-        p = ModelParams(n=n, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma)
-        rep = find_equilibria(sample_field(p, seed), SolverOptions(seed=seed))
+        rep = pinned_report(n, sigma, seed)
         assert rep.n_found == n_found
         assert [pt.basin_hits for pt in rep.points] == hits
         assert rep.n_converged_starts == n_conv
         assert rep.saturated
+
+    def test_tangent_spectra(self):
+        # recorded while the tangent basis still came from scipy's
+        # null_space; the SVD basis must give the same bits
+        h = hashlib.sha256()
+        for case in self.INSTANCES:
+            for pt in pinned_report(*case).points:
+                h.update(pt.tangent_spectrum.tobytes())
+        assert h.hexdigest() == ("021834a19223cf7ff0ce09023ddbe68e"
+                                 "73e8358303ffbf0804aaa7aadbb40915")
 
     def test_three_halvings_small_budget(self, monkeypatch):
         # recorded before the constraint screen of the line search: with
@@ -343,6 +374,12 @@ class TestMCCount:
         b = mc_mean_count(p, 12, SolverOptions(), seed=5, threads=3)
         assert a.mean == b.mean and a.stderr == b.stderr
         assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=1.5)
+        with pytest.raises(ParameterError, match="threads"):
+            mc_mean_count(p, 2, SolverOptions(n_starts=10), threads=threads)
 
     def test_histogram_half_line_symmetry(self):
         # prediction integrand is even: counts on [0, inf) are ~half
