@@ -252,14 +252,13 @@ class TestMainExitCodes:
                      "--strict"])
         assert code == 4
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_threads_below_one_exit_code(self, tmp_path, capsys, threads):
+    def test_zero_threads_exit_code(self, tmp_path, capsys):
         payload = {"kind": "mc-count", "instances": 2,
                    "model": {"n": 4, "j1": 1.0, "sigma": 1.0},
                    "solver": {"n_starts": 10}}
         path = write_config(tmp_path, payload)
         code = main(["run", path, "--out-dir", str(tmp_path / "o"),
-                     "--threads", threads])
+                     "--threads", "0"])
         assert code == 2
         err = json.loads(capsys.readouterr().out)
         assert "threads" in err["error"]["message"]
