@@ -28,7 +28,7 @@ from .predictor import (CountPrediction, DerivedParams, DetIdentityReport,
                         validate_det_identity, weak_nongradient)
 from .search import (CountReport, EquilibriumPoint, MCCountResult,
                      SolverOptions, find_equilibria, mc_mean_count,
-                     tangent_spectrum)
+                     tangent_spectrum_at)
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,7 @@ __all__ = [
     "crossover_kappa", "weak_nongradient", "predict_asymptotic",
     # search
     "SolverOptions", "EquilibriumPoint", "CountReport", "MCCountResult",
-    "find_equilibria", "tangent_spectrum", "mc_mean_count",
+    "find_equilibria", "tangent_spectrum_at", "mc_mean_count",
     # dynamics
     "Trajectory", "DynamicsOptions", "RunResult", "lambda_of_state",
     "integrate", "run_to_equilibrium", "run_to_equilibrium_batch",

@@ -35,9 +35,9 @@ from .elliptic import (DensityProfile, EllipticParams, expected_counts_in_bins,
                        expected_real_count, mean_real_count)
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import ModelParams, covariance_pair, sample_field
-from .predictor import (DerivedParams, derived_params, mean_in_interval,
-                        mean_total_exact, predict_asymptotic,
-                        validate_det_identity)
+from .predictor import (_QUAD_REL_TOL, DerivedParams, derived_params,
+                        mean_in_interval, mean_total_exact,
+                        predict_asymptotic, validate_det_identity)
 from .search import SolverOptions, find_equilibria, mc_mean_count
 
 
@@ -329,7 +329,7 @@ def _run_predict_sweep(cfg: ExperimentConfig, out: str, threads: int,
     write_csv(os.path.join(out, "predictions.csv"),
               ["N", "tau", "b2", "sigma", "regime", "value", "log_value"], rows)
     summary = {"rows": len(rows),
-               "tolerances": {"quadrature_rel_tol": 1e-12}}
+               "tolerances": {"quadrature_rel_tol": _QUAD_REL_TOL}}
     write_json(os.path.join(out, "summary.json"), summary)
     summary["outputs"] = ["predictions.csv", "summary.json"]
     return summary
@@ -337,7 +337,7 @@ def _run_predict_sweep(cfg: ExperimentConfig, out: str, threads: int,
 
 def _run_mc_count(cfg: ExperimentConfig, out: str, threads: int,
                   strict: bool) -> dict:
-    params = ModelParams.from_dict(cfg.payload["model"])
+    params = ModelParams(**cfg.payload["model"])
     solver = _solver_options(cfg.payload["solver"], 0)
     seed = derive_seed(cfg.seed, "mc-count")
     dp = None
@@ -451,7 +451,7 @@ def _run_det_identity(cfg: ExperimentConfig, out: str, threads: int,
 
 def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int,
                   strict: bool) -> dict:
-    params = ModelParams.from_dict(cfg.payload["model"])
+    params = ModelParams(**cfg.payload["model"])
     iseed = cfg.payload["instance_seed"]
     if iseed is None:
         iseed = derive_seed(cfg.seed, "dynamics-instance")
@@ -499,7 +499,7 @@ def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int,
 
 def _run_transition_curve(cfg: ExperimentConfig, out: str, threads: int,
                           strict: bool) -> dict:
-    base = ModelParams.from_dict(cfg.payload["model"])
+    base = ModelParams(**cfg.payload["model"])
     n = cfg.payload["n"]
     cov = covariance_pair(base)
     solver = _solver_options(cfg.payload["solver"], 0)

@@ -34,15 +34,14 @@ __all__ = [
 ]
 
 
-def lambda_of_state(inst: FieldInstance, x: np.ndarray,
-                    tol: float = 1e-6) -> float | np.ndarray:
+def lambda_of_state(inst: FieldInstance, x: np.ndarray) -> float | np.ndarray:
     """Lagrange multiplier ``x . (h + f(x)) / N`` on the sphere (batched).
 
-    Raises for points off the sphere beyond `tol` (relative on |x|^2/N).
+    Raises for points whose |x|^2/N is off 1 by more than 1e-6.
     """
     x = np.asarray(x, dtype=float)
     drift = (np.abs((x * x).sum(axis=-1) / inst.n - 1.0)).max()
-    if drift > tol:
+    if drift > 1e-6:
         raise DomainError(f"state off the sphere: | |x|^2/N - 1 | = {drift:.3e}")
     lam = (x * inst.drift(x)).sum(axis=-1) / inst.n
     return float(lam) if np.ndim(lam) == 0 else lam
@@ -100,18 +99,15 @@ def _rk4_step(inst: FieldInstance, x: np.ndarray, dt: float,
 
 
 def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
-              renormalize: bool = True, sample_stride: int = 1) -> Trajectory:
+              renormalize: bool = True) -> Trajectory:
     """Integrate the constrained flow from a point on the sphere.
 
     With `renormalize` the state is projected back to radius sqrt(N) after
     every step; otherwise the norm drifts at the scheme's order and the run
-    aborts if |x| leaves a 10% band.  Every `sample_stride`-th step and the
-    last one are recorded.
+    aborts if |x| leaves a 10% band.  The start and every step are recorded.
     """
     if dt <= 0 or t_end <= 0:
         raise ParameterError("dt and t_end must be positive")
-    if sample_stride < 1:
-        raise ParameterError(f"sample_stride must be >= 1, got {sample_stride}")
     x = _check_start(inst, x0).reshape(1, inst.n)
     steps = int(math.ceil(t_end / dt))
     times, states, lambdas, speeds = [], [], [], []
@@ -132,8 +128,7 @@ def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
                 f"integration diverged at t={i * dt:.3g}: |x|/sqrt(N) = "
                 f"{math.sqrt(r2):.3f} (renormalization is off)")
         drift = max(drift, abs(r2 - 1.0))
-        if i % sample_stride == 0 or i == steps:
-            record(i * dt, x)
+        record(i * dt, x)
     return Trajectory(times=np.array(times), states=np.array(states),
                       lambdas=np.array(lambdas), speeds=np.array(speeds),
                       constraint_drift=float(drift))
@@ -164,7 +159,6 @@ _CHECK_EVERY = 8
 @dataclass
 class RunResult:
     converged: bool
-    status: str  # "converged" | "no-convergence"
     x: np.ndarray
     lam: float
     v_norm: float
@@ -224,9 +218,8 @@ def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
         near = np.linalg.norm(x_end[:, None, :] - pts[None, :, :],
                               axis=2) <= report.dedup_radius
         matched = np.where(converged & near.any(axis=1), near.argmax(axis=1), -1)
-    return [RunResult(converged=bool(conv),
-                      status="converged" if conv else "no-convergence",
-                      x=x_end[j].copy(), lam=float(lam[j]), v_norm=float(v_end[j]),
+    return [RunResult(converged=bool(conv), x=x_end[j].copy(),
+                      lam=float(lam[j]), v_norm=float(v_end[j]),
                       t=float(t_done[j]) if conv else float(steps * dt),
                       matched=int(matched[j]) if matched[j] >= 0 else None)
             for j, conv in enumerate(converged)]

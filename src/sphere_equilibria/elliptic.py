@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_DENSITY_REL_TOL = 1e-10
 # elementwise erf/erfc from the C library; otypes lets them take empty arrays
 _erf = np.vectorize(math.erf, otypes=[float])
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -259,10 +260,13 @@ def log_rho_real_exact(p: EllipticParams, x) -> np.ndarray:
     One `_psi_hat_scan` pass yields all three pieces; the integral comes from
     the closed recurrence ``Ihat_{k+1} = sqrt(k/(k+1)) Ihat_{k-1}
     - (1+tau)/sqrt(k+1) psi_hat_k(x)`` over odd k, started at the erf form of
-    Ihat_0.  Stateless, O(N) per point, and finite in log space for any x.
+    Ihat_0.  Stateless, O(N) per point, and finite in log space for any
+    finite x; a non-finite x is rejected.
     """
     p.require_exact_density()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ParameterError("real-eigenvalue density needs a finite x")
     n, tau = p.n, p.tau
 
     rho1_log, sign_nm1, log_nm1, anti = _psi_hat_scan(n, tau, xs)
@@ -290,12 +294,12 @@ def rho_real_exact(p: EllipticParams, x):
     return np.exp(log_rho_real_exact(p, x))
 
 
-def support_lambda_max(n: int, tau: float, rel: float = 1e-16) -> float:
-    """lam beyond which the density at lam*sqrt(N) is below `rel` of the bulk.
+def support_lambda_max(n: int, tau: float) -> float:
+    """lam beyond which the density at lam*sqrt(N) is below 1e-16 of the bulk.
 
     Uses the outside-the-bulk exponential bound; bisection on the decay rate.
     """
-    target = -math.log(rel) / n
+    target = -math.log(1e-16) / n
     lo = 1.0 + tau + 1e-9
     hi = lo + 1.0
     while _outside_rate(tau, hi) < target + math.log(10.0 * n) / n:
@@ -412,13 +416,13 @@ def mean_real_count(p: EllipticParams, trials: int,
     return total / trials, stderr
 
 
-def expected_real_count(p: EllipticParams, rel_tol: float = 1e-10) -> float:
+def expected_real_count(p: EllipticParams) -> float:
     """Integral of the exact density over the real line (even in x)."""
     p.require_exact_density()
     lam_max = support_lambda_max(p.n, p.tau)
     xmax = lam_max * math.sqrt(p.n)
     res = log_quad(lambda xs: log_rho_real_exact(p, xs), 0.0, xmax,
-                   rel_tol=rel_tol)
+                   rel_tol=_DENSITY_REL_TOL)
     return 2.0 * res.value
 
 
@@ -430,7 +434,7 @@ def expected_counts_in_bins(p: EllipticParams, edges: np.ndarray) -> np.ndarray:
     for i in range(len(edges) - 1):
         res = log_quad(lambda xs: log_rho_real_exact(p, xs),
                        float(edges[i]), float(edges[i + 1]),
-                       rel_tol=1e-10, initial_panels=16)
+                       rel_tol=_DENSITY_REL_TOL, initial_panels=16)
         out[i] = res.value
     return out
 
@@ -474,24 +478,21 @@ class DensityProfile:
             raise ParameterError("density values must be nonnegative")
 
     @classmethod
-    def exact(cls, p: EllipticParams, num: int = 201,
-              rel: float = 1e-16) -> "DensityProfile":
-        lam_max = support_lambda_max(p.n, p.tau, rel=rel)
-        grid = _chebyshev_grid(lam_max, num)
+    def exact(cls, p: EllipticParams) -> "DensityProfile":
+        """Exact density on a 201-point Chebyshev grid over the support."""
+        grid = _chebyshev_grid(support_lambda_max(p.n, p.tau), 201)
         values = rho_real_exact(p, grid * math.sqrt(p.n))
         return cls(grid=grid, values=values, method="exact-hermite",
                    n=p.n, tau=p.tau)
 
     @classmethod
     def monte_carlo(cls, p: EllipticParams, trials: int, seed: int,
-                    bins: int = 25,
-                    lam_max: float | None = None) -> "DensityProfile":
+                    bins: int = 25) -> "DensityProfile":
         """Histogram estimate of the density on `bins` equal lam-bins.
 
         Draws follow `elliptic_batches`.
         """
-        if lam_max is None:
-            lam_max = (1.0 + p.tau) + 6.0 / math.sqrt(p.n)
+        lam_max = (1.0 + p.tau) + 6.0 / math.sqrt(p.n)
         edges = np.linspace(-lam_max, lam_max, bins + 1)
         sums = np.zeros(bins)
         sqsums = np.zeros(bins)

@@ -76,10 +76,6 @@ class ModelParams:
                 "alpha1": self.alpha1, "alpha2": self.alpha2,
                 "sigma": self.sigma, "field_free": self.field_free}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class CovariancePair:
@@ -342,7 +338,7 @@ def load_field(path) -> FieldInstance:
     header = json.loads(buf.read(hlen).decode())
     if header.get("format") != 1:
         raise ParameterError(f"{path}: unsupported container format")
-    params = ModelParams.from_dict(header["params"])
+    params = ModelParams(**header["params"])
     arrays = {}
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])

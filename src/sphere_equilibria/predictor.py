@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _EXCEPTIONAL_TOL = 1e-12
+# relative accuracy of the exact-count quadratures and of the crossover limits
+_QUAD_REL_TOL = 1e-12
+_CROSSOVER_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,17 +112,15 @@ class CountPrediction:
     log_value: float
     regime: str  # exact | fixed-asymptotic | gamma-crossover | kappa-crossover | weak-nongradient
     n: int
-    interval: tuple[float, float] | None = None
 
     @classmethod
-    def from_log(cls, log_value: float, regime: str, n: int,
-                 interval=None) -> "CountPrediction":
+    def from_log(cls, log_value: float, regime: str, n: int
+                 ) -> "CountPrediction":
         try:
             value = math.exp(log_value)
         except OverflowError:
             value = math.inf
-        return cls(value=value, log_value=log_value, regime=regime, n=n,
-                   interval=interval)
+        return cls(value=value, log_value=log_value, regime=regime, n=n)
 
 
 def _require_even(n: int) -> None:
@@ -147,8 +148,7 @@ def _integration_cap(dp: DerivedParams, n: int) -> float:
     return cap
 
 
-def mean_total_exact(dp: DerivedParams, n: int,
-                     rel_tol: float = 1e-12) -> CountPrediction:
+def mean_total_exact(dp: DerivedParams, n: int) -> CountPrediction:
     """Exact mean number of equilibria at size N (N even, |tau| < 1)."""
     _require_even(n)
     p = EllipticParams(n, dp.tau)
@@ -160,7 +160,7 @@ def mean_total_exact(dp: DerivedParams, n: int,
                 + log_rho_real_exact(p, lams * sqrt_n))
 
     cap = _integration_cap(dp, n)
-    quad = log_quad(log_integrand, 0.0, cap, rel_tol=rel_tol,
+    quad = log_quad(log_integrand, 0.0, cap, rel_tol=_QUAD_REL_TOL,
                     initial_panels=96)
     # the integrand is even in lambda
     log_integral = math.log(2.0) + quad.log_value
@@ -170,8 +170,8 @@ def mean_total_exact(dp: DerivedParams, n: int,
     return CountPrediction.from_log(log_pref + log_integral, "exact", n)
 
 
-def mean_in_interval(dp: DerivedParams, n: int, alpha: float, beta: float,
-                     rel_tol: float = 1e-12) -> CountPrediction:
+def mean_in_interval(dp: DerivedParams, n: int, alpha: float,
+                     beta: float) -> CountPrediction:
     """Mean number of equilibria whose Lagrange multiplier lies in [alpha, beta].
 
     alpha, beta are in physical units and are mapped to rescaled spectral
@@ -190,16 +190,16 @@ def mean_in_interval(dp: DerivedParams, n: int, alpha: float, beta: float,
     cap = _integration_cap(dp, n)
     lo = max(alpha / dp.lambda_scale, -cap) if np.isfinite(alpha) else -cap
     hi = min(beta / dp.lambda_scale, cap) if np.isfinite(beta) else cap
-    interval = (alpha, beta)
     if hi <= lo:
-        return CountPrediction(0.0, -math.inf, "exact", n, interval)
+        return CountPrediction(0.0, -math.inf, "exact", n)
 
     half_gauss = 0.5 * n * (1.0 / (1.0 + dp.tau) - 1.0 / (dp.b2 + dp.tau))
 
     def log_integrand(lams: np.ndarray) -> np.ndarray:
         return half_gauss * lams * lams + log_rho_real_exact(p, lams * sqrt_n)
 
-    quad = log_quad(log_integrand, lo, hi, rel_tol=rel_tol, initial_panels=96)
+    quad = log_quad(log_integrand, lo, hi, rel_tol=_QUAD_REL_TOL,
+                    initial_panels=96)
     log_dfact = _log_double_factorial_even(n - 2)
     # interval-count prefactor sqrt(N)/(N-2)!! times the determinant-identity
     # constant 2 (N-2)!! sqrt(1+tau)
@@ -207,8 +207,7 @@ def mean_in_interval(dp: DerivedParams, n: int, alpha: float, beta: float,
                 - 0.5 * math.log(dp.b2 + dp.tau)
                 + (1.0 - n) * 0.5 * math.log(dp.b2)
                 + math.log(2.0) + 0.5 * math.log1p(dp.tau) + log_dfact)
-    return CountPrediction.from_log(log_pref + quad.log_value, "exact", n,
-                                    interval)
+    return CountPrediction.from_log(log_pref + quad.log_value, "exact", n)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +292,6 @@ class FixedAsymptote:
     l_at_star: float | None = None
     l_second: float | None = None
 
-    def value(self, n: int) -> float:
-        if self.regime == "trivial":
-            return 2.0
-        return self.prefactor * math.exp(n * self.log_rate)
-
 
 def asympt_fixed(dp: DerivedParams) -> FixedAsymptote:
     """Fixed-parameter large-N asymptote of the total count."""
@@ -321,7 +315,7 @@ def asympt_fixed(dp: DerivedParams) -> FixedAsymptote:
         l_second=-2.0 * dp.b2 / ((dp.b2 + dp.tau) * (dp.b2 - dp.tau)))
 
 
-def crossover_gamma(tau: float, gamma: float, rel_tol: float = 1e-10) -> float:
+def crossover_gamma(tau: float, gamma: float) -> float:
     """Limit of (mean count)/sqrt(N) when b^2 = 1 - gamma/N.
 
     ``4 sqrt(1/(2 pi)) sqrt((1+tau)/(1-tau)) e^{gamma/2}
@@ -334,7 +328,7 @@ def crossover_gamma(tau: float, gamma: float, rel_tol: float = 1e-10) -> float:
     def logf(lams: np.ndarray) -> np.ndarray:
         return 0.5 * gamma * (1.0 - lams * lams)
 
-    quad = log_quad(logf, 0.0, 1.0, rel_tol=rel_tol, initial_panels=32)
+    quad = log_quad(logf, 0.0, 1.0, rel_tol=_CROSSOVER_REL_TOL, initial_panels=32)
     return (4.0 * math.sqrt(1.0 / (2.0 * math.pi))
             * math.sqrt((1.0 + tau) / (1.0 - tau)) * quad.value)
 
@@ -352,7 +346,7 @@ def _log_rho_edge(zeta: np.ndarray) -> np.ndarray:
     return out
 
 
-def crossover_kappa(tau: float, kappa: float, rel_tol: float = 1e-10) -> float:
+def crossover_kappa(tau: float, kappa: float) -> float:
     """Limit of the mean count when b^2 = 1 + kappa/sqrt(N), kappa > 0.
 
     ``4 e^{-kt^2/4} int e^{kt zeta} rho_edge(zeta) dzeta`` with
@@ -370,7 +364,7 @@ def crossover_kappa(tau: float, kappa: float, rel_tol: float = 1e-10) -> float:
 
     lo = -(50.0 / kt + 4.0)
     hi = 0.5 * kt + 12.0
-    quad = log_quad(logf, lo, hi, rel_tol=rel_tol, initial_panels=64)
+    quad = log_quad(logf, lo, hi, rel_tol=_CROSSOVER_REL_TOL, initial_panels=64)
     return 4.0 * quad.value
 
 

@@ -8,13 +8,13 @@ All starts are advanced simultaneously: the batched (N+1)-dimensional Newton
 step uses the analytic field Jacobian plus the bordering row/column, damped by
 residual-monotone step halving.  A row whose full step fails the Armijo test
 tries the halving levels t = 2^-k lazily, in doubling blocks of levels
-(1-2, 3-6, 7-14, ... up to `max_halvings`), and leaves at the first block that
+(1-2, 3-6, 7-14, ... up to `_MAX_HALVINGS`), and leaves at the first block that
 holds an accepted level.  The constraint term C = |x|^2 - N costs O(N) and
 bounds the residual from below, so a candidate whose |C| already fails the
 Armijo bound is rejected without evaluating the field.  Converged starts are
-deduplicated in start order by Euclidean distance in x (lam is a function of
-x at a root), one vectorized pass per root, and a saturation heuristic flags
-instances whose discovery curve was still rising.
+deduplicated in start order within Euclidean distance 1e-6 sqrt(N) in x (lam
+is a function of x at a root), one vectorized pass per root, and a saturation
+heuristic flags instances whose discovery curve was still rising.
 """
 
 from __future__ import annotations
@@ -36,13 +36,19 @@ __all__ = [
     "CountReport",
     "MCCountResult",
     "find_equilibria",
-    "tangent_spectrum",
+    "tangent_spectrum_at",
     "mc_mean_count",
 ]
 
 # an instance is saturated when this trailing share of its starts found no
 # new root
 _SATURATION_FRACTION = 0.25
+# Newton controls: max-norm residual of a converged start, iteration cap,
+# deepest halving level 2^-k of the line search, and largest N enumerated
+_TOL = 1e-10
+_MAX_ITER = 80
+_MAX_HALVINGS = 50
+_MAX_DIM = 10
 
 
 @dataclass(frozen=True)
@@ -50,16 +56,11 @@ class SolverOptions:
     """Multi-start Newton controls.
 
     `n_starts=None` budgets 200 starts per predicted equilibrium (capped at
-    10^4).  `dedup_radius=None` defaults to 1e-6 sqrt(N).
+    10^4); `seed` keys the Philox stream of the start points.
     """
 
     n_starts: int | None = None
-    tol: float = 1e-10
-    dedup_radius: float | None = None
-    max_iter: int = 80
-    max_halvings: int = 50
     seed: int = 0
-    max_dim: int = 10
 
 
 @dataclass
@@ -88,7 +89,7 @@ def _expected_count(params: ModelParams) -> float:
         return 2.0
     try:
         dp = derived_params(covariance_pair(params), params.sigma)
-    except (ParameterError, ValueError):
+    except (ParameterError, DomainError):
         return 2.0 * params.n
     try:
         return mean_total_exact(dp, params.n).value
@@ -158,9 +159,9 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
     """
     opts = opts or SolverOptions()
     n = inst.n
-    if n > opts.max_dim:
+    if n > _MAX_DIM:
         raise ParameterError(
-            f"direct enumeration is configured for N <= {opts.max_dim}, got {n}")
+            f"direct enumeration is configured for N <= {_MAX_DIM}, got {n}")
     if inst.params.field_free and inst.params.sigma == 0.0:
         raise ParameterError("f = 0 and h = 0: every point of the sphere is "
                              "an equilibrium, enumeration is meaningless")
@@ -168,9 +169,7 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
     n_starts = opts.n_starts
     if n_starts is None:
         n_starts = default_n_starts(inst.params)
-    radius = opts.dedup_radius
-    if radius is None:
-        radius = 1e-6 * math.sqrt(n)
+    radius = 1e-6 * math.sqrt(n)
 
     rng = stream(opts.seed, 0)
     g = rng.standard_normal((n_starts, n))
@@ -183,8 +182,8 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
     f, c, res = _system_residual(inst, x, lam)
     checkpoint = res.copy()
 
-    for it in range(opts.max_iter):
-        newly = active & (res <= opts.tol)
+    for it in range(_MAX_ITER):
+        newly = active & (res <= _TOL)
         converged |= newly
         active &= ~newly
         if it and it % 10 == 0:
@@ -207,7 +206,7 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
 
         # damped update: the full step first, then the halving levels
         # t = 2^-k in doubling blocks 1-2, 3-6, 7-14, ... (capped at
-        # max_halvings); a row leaves at the first block holding a level that
+        # _MAX_HALVINGS); a row leaves at the first block holding a level that
         # passes the Armijo test and takes the first such level.  Every block
         # below the cap has two or more levels, so a candidate batch is a
         # single row only when one row searches a one-level last block: numpy
@@ -221,9 +220,9 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
         accepted = rt <= bound
         rem = np.flatnonzero(~accepted)
         lo_level, hi_level = 1, 2
-        while rem.size and lo_level <= opts.max_halvings:
+        while rem.size and lo_level <= _MAX_HALVINGS:
             tgrid = 0.5 ** np.arange(lo_level,
-                                     min(hi_level, opts.max_halvings) + 1)
+                                     min(hi_level, _MAX_HALVINGS) + 1)
             cand_x = xa[rem, None, :] + tgrid[None, :, None] * delta[rem, None, :n]
             cand_l = la[rem, None] + tgrid[None, :] * delta[rem, None, n]
             bound = (1.0 - 1e-4 * tgrid[None, :]) * ra[rem, None]
@@ -249,7 +248,7 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
         res[idx[accepted]] = rt[accepted]
         # starts that cannot decrease the residual at any step size stall out
         active[idx[~accepted]] = False
-    newly = active & (res <= opts.tol)
+    newly = active & (res <= _TOL)
     converged |= newly
 
     # deduplicate in start order (discovery order drives the saturation flag)
@@ -330,14 +329,6 @@ def tangent_spectrum_at(inst: FieldInstance, x: np.ndarray, lam: float
         raise NumericalError("tangent eigenvalue computation failed") from exc
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
-
-
-def tangent_spectrum(inst: FieldInstance, pt: EquilibriumPoint) -> np.ndarray:
-    """Tangent-space spectrum of a converged equilibrium point."""
-    if pt.residual > 1e-6:
-        raise ParameterError(
-            f"point residual {pt.residual:.2e} too large for a spectrum report")
-    return tangent_spectrum_at(inst, pt.x, pt.lam)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,15 @@ class TestMainExitCodes:
         assert "v_tol" in err["error"]["message"]
         assert not os.path.exists(tmp_path / "o")
 
+    def test_solver_accepts_only_n_starts(self, tmp_path, capsys):
+        payload = {"kind": "mc-count", "instances": 2,
+                   "model": {"n": 4, "j1": 1.0, "sigma": 1.0},
+                   "solver": {"tol": 1e-8}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert "tol" in err["error"]["message"]
+
     def test_strict_unsaturated_exit_code(self, tmp_path):
         payload = {"kind": "mc-count",
                    "model": {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3,

@@ -97,21 +97,14 @@ class TestIntegrate:
             integrate(inst, sphere_point(4, 2), dt=1.5, t_end=60.0,
                       renormalize=False)
 
-    def test_sample_stride_keeps_every_kth_step(self):
-        # 50 steps: the start and every 10th step are recorded
+    def test_every_step_is_recorded(self):
+        # 50 steps: the start and every step are recorded
         inst = field_free_instance()
-        traj = integrate(inst, sphere_point(4, 1), dt=0.01, t_end=0.5,
-                         sample_stride=10)
-        assert len(traj.times) == 6
-        assert_allclose(traj.times, np.arange(6) * 0.1, rtol=1e-12)
-        assert traj.states.shape == (6, 4)
-        assert traj.lambdas.shape == traj.speeds.shape == (6,)
-
-    def test_sample_stride_below_one_rejected(self):
-        inst = field_free_instance()
-        with pytest.raises(ParameterError, match="sample_stride"):
-            integrate(inst, sphere_point(4, 1), dt=0.01, t_end=0.5,
-                      sample_stride=0)
+        traj = integrate(inst, sphere_point(4, 1), dt=0.01, t_end=0.5)
+        assert len(traj.times) == 51
+        assert_allclose(traj.times, np.arange(51) * 0.01, rtol=1e-12)
+        assert traj.states.shape == (51, 4)
+        assert traj.lambdas.shape == traj.speeds.shape == (51,)
 
 
 class TestRunToEquilibrium:
@@ -144,7 +137,6 @@ class TestRunToEquilibrium:
         res = run_to_equilibrium(inst, sphere_point(4, 1),
                                  DynamicsOptions(t_max=20.0))
         assert not res.converged
-        assert res.status == "no-convergence"
         assert abs(res.lam) < 1e-10
         assert res.v_norm > 1e-3
 

@@ -8,6 +8,7 @@ small N, and high-precision mpmath evaluation at N in the hundreds.
 import csv
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -258,6 +259,23 @@ class TestExactDensity:
         assert np.isfinite(lv)
         assert lv < -100
 
+    def test_log_form_at_huge_x_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lv = log_rho_real_exact(EllipticParams(8, 0.3), 1e6)
+        assert np.isfinite(lv)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_non_finite_x_rejected(self, bad, shape):
+        # a NaN must not read as a zero density
+        x = bad if shape == "scalar" else np.array([0.5, bad])
+        p = EllipticParams(8, 0.3)
+        with pytest.raises(ParameterError, match="finite"):
+            log_rho_real_exact(p, x)
+        with pytest.raises(ParameterError, match="finite"):
+            rho_real_exact(p, x)
+
 
 class TestAsymptoticProfiles:
     def test_bulk_values(self):
@@ -402,7 +420,7 @@ class TestMonteCarloCounting:
 
 class TestDensityProfile:
     def test_exact_profile_properties(self):
-        prof = DensityProfile.exact(EllipticParams(8, 0.5), num=41)
+        prof = DensityProfile.exact(EllipticParams(8, 0.5))
         assert np.all(np.diff(prof.grid) > 0)
         assert np.all(prof.values >= 0)
         # even grid, even values

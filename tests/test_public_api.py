@@ -1,4 +1,4 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and deleted duplicates stay deleted.
 
 A name left in an ``__all__`` after its definition was deleted would only
 fail at ``from ... import *`` time; this test makes it fail here.
@@ -6,10 +6,13 @@ fail at ``from ... import *`` time; this test makes it fail here.
 
 import importlib
 import pkgutil
+from dataclasses import fields
 
 import pytest
 
 import sphere_equilibria
+from sphere_equilibria import (CountPrediction, FixedAsymptote, ModelParams,
+                               RunResult, search)
 
 MODULES = [sphere_equilibria] + [
     importlib.import_module(f"sphere_equilibria.{info.name}")
@@ -21,3 +24,14 @@ MODULES = [sphere_equilibria] + [
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names missing objects: {missing}"
+
+
+def test_one_public_name_per_job():
+    # the package exports the tangent spectrum under the name the benchmark
+    # traces; the deleted duplicates and never-read fields stay deleted
+    assert "tangent_spectrum_at" in sphere_equilibria.__all__
+    assert not hasattr(search, "tangent_spectrum")
+    assert not hasattr(ModelParams, "from_dict")
+    assert not hasattr(FixedAsymptote, "value")
+    assert "interval" not in {f.name for f in fields(CountPrediction)}
+    assert "status" not in {f.name for f in fields(RunResult)}

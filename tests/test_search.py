@@ -1,6 +1,7 @@
 """Multi-start Newton enumeration against analytic and spectral oracles."""
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -12,11 +13,11 @@ from numpy.testing import assert_allclose
 
 from sphere_equilibria import cli, search
 from sphere_equilibria.elliptic import real_eigenvalues
-from sphere_equilibria.errors import NumericalError, ParameterError
+from sphere_equilibria.errors import DomainError, NumericalError, ParameterError
 from sphere_equilibria.field_model import ModelParams, sample_field
 from sphere_equilibria.search import (SolverOptions, default_n_starts,
                                       find_equilibria, mc_mean_count,
-                                      tangent_spectrum, tangent_spectrum_at)
+                                      tangent_spectrum_at)
 
 
 def field_free_instance(n=4, sigma=1.5, seed=7):
@@ -149,14 +150,12 @@ class TestReportInvariants:
         with pytest.raises(ParameterError, match="N <= 10"):
             find_equilibria(inst)
 
-    def test_tangent_spectrum_requires_converged_point(self):
+    def test_converged_point_carries_tangent_spectrum(self):
         inst, rep = self.make_report()
-        pt = rep.points[0]
-        spec = tangent_spectrum(inst, pt)
-        assert len(spec) == 3
-        pt.residual = 1.0
-        with pytest.raises(ParameterError):
-            tangent_spectrum(inst, pt)
+        for pt in rep.points:
+            assert len(pt.tangent_spectrum) == 3
+            assert (pt.tangent_spectrum.tobytes()
+                    == tangent_spectrum_at(inst, pt.x, pt.lam).tobytes())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_tangent_spectrum_at_rejects_non_finite_point(self, bad):
@@ -219,7 +218,7 @@ class TestPinnedOutputs:
 
     def test_three_halvings_small_budget(self, monkeypatch):
         # recorded before the constraint screen of the line search: with
-        # max_halvings = 3 the last halving block is the single level 3, so a
+        # _MAX_HALVINGS = 3 the last halving block is the single level 3, so a
         # row searching alone there is a one-row candidate batch, and lone
         # survivors of the screen are common
         one_row = []
@@ -230,9 +229,10 @@ class TestPinnedOutputs:
             return residual(inst, x, lam, *bound)
 
         monkeypatch.setattr(search, "_system_residual", counting)
+        monkeypatch.setattr(search, "_MAX_HALVINGS", 3)
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
         rep = find_equilibria(sample_field(p, 0),
-                              SolverOptions(n_starts=40, max_halvings=3, seed=0))
+                              SolverOptions(n_starts=40, seed=0))
         assert rep.n_found == 10
         assert [pt.basin_hits for pt in rep.points] == [1, 3, 3, 5, 1, 6, 3, 2,
                                                         1, 4]
@@ -365,6 +365,26 @@ class TestStartBudget:
     def test_odd_n_falls_back_to_asymptote(self):
         # the exact count needs even N; the DomainError routes to the asymptote
         assert 64 <= default_n_starts(ModelParams(n=5, **self.PARAMS)) <= 10_000
+
+    def test_domain_error_in_derived_params_falls_back_to_2n(self, monkeypatch):
+        def exceptional(cov, sigma):
+            raise DomainError("exceptional case")
+
+        monkeypatch.setattr(search, "derived_params", exceptional)
+        # 200 starts per predicted root, 2N = 8 roots
+        assert default_n_starts(ModelParams(n=4, **self.PARAMS)) == 1600
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        def broken(cov, sigma):
+            raise ValueError("not a package error")
+
+        monkeypatch.setattr(search, "derived_params", broken)
+        with pytest.raises(ValueError, match="not a package error"):
+            default_n_starts(ModelParams(n=4, **self.PARAMS))
+
+    def test_solver_options_hold_only_the_budget_and_seed(self):
+        assert ([f.name for f in dataclasses.fields(SolverOptions)]
+                == ["n_starts", "seed"])
 
 
 class TestMCCount:
