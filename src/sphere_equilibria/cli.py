@@ -2,8 +2,10 @@
 
 Experiments are described by a JSON config with a ``kind`` field; a run is a
 pure function of (config, master seed) and writes CSV/JSON artifacts plus a
-manifest.  Per-task seeds are derived from the master seed by a stable hash,
-so extending a study never perturbs completed tasks.  All file writes are
+manifest.  Each kind's keys, types, defaults and range checks are the fields
+and ``__post_init__`` of one frozen dataclass below, read by `_from_fields`.
+Per-task seeds are derived from the master seed by a stable hash, so
+extending a study never perturbs completed tasks.  All file writes are
 atomic (write to a temp name, then rename); timestamps and wall time live
 only in the manifest so payload files are byte-reproducible.
 
@@ -24,7 +26,8 @@ import sys
 import tempfile
 import time
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 
 import numpy as np
 
@@ -45,93 +48,227 @@ from .search import SolverOptions, find_equilibria, mc_mean_count
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _read(typ, value, where: str):
+    """The JSON `value` as `typ`: a finite float (an int is accepted), an exact
+    int, bool, str or dict, X for ``X | None``, a list or a dataclass schema."""
+    if typing.get_origin(typ) is list:
+        if type(value) is not list:
+            raise ParameterError(f"field '{where}' must be a list")
+        (item,) = typing.get_args(typ)
+        return [_read(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    typ = next((t for t in typing.get_args(typ) if t is not type(None)), typ)
+    if is_dataclass(typ):
+        return _from_fields(typ, value, where)
+    if typ is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ParameterError(f"field '{where}' must be finite, got {value}")
+    if type(value) is typ:
+        return value
+    raise ParameterError(f"field '{where}' must be {typ.__name__}, got {value!r}")
+
+
+def _get(d: dict, key: str, typ, default, where: str):
+    """`d[key]` as `typ`; absent or null gives `default` (MISSING: required)."""
+    if d.get(key) is not None:
+        return _read(typ, d[key], f"{where}.{key}")
+    if default is MISSING:
+        raise ParameterError(f"field '{where}.{key}' is required")
+    return default
+
+
+def _from_fields(cls, d, where: str, ignored: list | None = None):
+    """Build the dataclass `cls` from the config object `d`, whose keys, types
+    and defaults are the fields of `cls`.  A ``cls.prepare(d, where)`` first
+    derives fields from inputs that are not fields.  Unknown keys raise, or
+    are appended to `ignored` when it is given."""
+    if type(d) is not dict:
+        raise ParameterError(f"field '{where}' must be an object")
+    if hasattr(cls, "prepare"):
+        d = cls.prepare(d, where)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown and ignored is None:
+        raise ParameterError(f"field '{where}': unknown keys {', '.join(unknown)}")
+    if ignored is not None:
+        ignored += unknown
+    kwargs = {f.name: _get(d, f.name, hints[f.name], f.default, where)
+              for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except (ParameterError, DomainError) as exc:
+        raise type(exc)(f"field '{where}': {exc}") from exc
+
+
+def _at_least(spec, **bounds) -> None:
+    """Raise naming the first field of `spec` that is below its bound."""
+    for name, lo in bounds.items():
+        if getattr(spec, name) < lo:
+            raise ParameterError(f"{name} must be >= {lo}, got {getattr(spec, name)}")
+
+
+@dataclass(frozen=True)
+class Solver:
+    """A config's `solver` object; start seeds derive from the master seed."""
+
+    n_starts: int | None = None
+
+    def __post_init__(self):
+        SolverOptions(self.n_starts)  # its range check
+
+
+@dataclass(frozen=True)
+class Covariance:
+    """`predict-sweep`'s model: Phi1(1), Phi1'(1) and Phi2(1), or a
+    quadratic-family model (`ModelParams`, `n` defaulting to 2) read as them."""
+
+    phi1_1: float
+    dphi1_1: float
+    phi2_1: float
+
+    @staticmethod
+    def prepare(d: dict, where: str) -> dict:
+        if {"phi1_1", "dphi1_1", "phi2_1"} <= set(d):
+            return d
+        cov = covariance_pair(_from_fields(ModelParams, {"n": 2, **d}, where))
+        return {"phi1_1": cov.phi1(1.0), "dphi1_1": cov.dphi1(1.0),
+                "phi2_1": cov.phi2(1.0)}
+
+    def derived(self, sigma: float) -> DerivedParams:
+        return DerivedParams.from_values(self.phi1_1, self.dphi1_1,
+                                         self.phi2_1, sigma)
+
+
+@dataclass(frozen=True)
+class PredictSweep:
+    """`predict-sweep`: exact and asymptotic mean counts on an N x sigma grid."""
+
+    model: Covariance
+    sigma_grid: list[float]
+    n_list: list[int]
+
+    def __post_init__(self):
+        if any(s < 0 for s in self.sigma_grid):
+            raise ParameterError("sigma_grid entries must be nonnegative")
+        if any(n < 2 or n % 2 for n in self.n_list):
+            raise ParameterError(f"n_list sizes must be even and >= 2, got {self.n_list}")
+        for s in self.sigma_grid:  # domain gates propagate at validation time
+            self.model.derived(s)
+
+
+@dataclass(frozen=True)
+class MCCount:
+    """`mc-count`: brute-force counts over field instances vs the exact mean."""
+
+    model: ModelParams
+    instances: int
+    solver: Solver = Solver()
+    lambda_bins: int = 12
+    compare_exact: bool = True
+
+    def __post_init__(self):
+        _at_least(self, instances=1, lambda_bins=1)
+
+
+@dataclass(frozen=True)
+class SpectraValidate:
+    """`spectra-validate`: real-eigenvalue histogram vs the exact density."""
+
+    n: int
+    tau: float
+    trials: int
+    bins: int = 25
+
+    def __post_init__(self):
+        EllipticParams(self.n, self.tau).require_exact_density()
+        _at_least(self, trials=100, bins=3)
+
+
+@dataclass(frozen=True)
+class DetIdentity:
+    """`det-identity`: the mean |det| identity at each of `lambdas`."""
+
+    n: int
+    tau: float
+    lambdas: list[float]
+    trials: int
+
+    def __post_init__(self):
+        EllipticParams(self.n, self.tau).require_exact_density()
+        _at_least(self, trials=100)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Dynamics(DynamicsOptions):
+    """`dynamics`: one instance's equilibria, then `starts` RK4 runs."""
+
+    model: ModelParams
+    starts: int
+    solver: Solver = Solver()
+    instance_seed: int | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        _at_least(self, starts=1)
+
+
+@dataclass(frozen=True)
+class TransitionCurve:
+    """`transition-curve`: exact, asymptotic and Monte Carlo counts over sigma.
+
+    The model takes `n` and sigma = 0.  Without `sigma_grid`, `prepare` makes
+    `grid_points` (default 9) sigmas from 0 to `max_sigma_factor` (2) sigma_c."""
+
+    model: ModelParams
+    n: int
+    sigma_grid: list[float]
+    mc_instances: int = 0
+    solver: Solver = Solver()
+
+    @staticmethod
+    def prepare(raw: dict, where: str) -> dict:
+        d = {k: v for k, v in raw.items()
+             if k not in ("grid_points", "max_sigma_factor")}
+        d["model"] = {**_get(d, "model", dict, MISSING, where),
+                      "n": _get(d, "n", int, MISSING, where), "sigma": 0.0}
+        if d.get("sigma_grid") is None:
+            model = _get(d, "model", ModelParams, MISSING, where)
+            pts = _get(raw, "grid_points", int, 9, where)
+            fac = _get(raw, "max_sigma_factor", float, 2.0, where)
+            if pts < 0:
+                raise ParameterError(f"field '{where}.grid_points' must be >= 0")
+            sigma_c = derived_params(covariance_pair(model), 0.0).sigma_c
+            if sigma_c == 0.0:  # a linear field
+                raise ParameterError(
+                    f"field '{where}.model': sigma_c = 0, give a 'sigma_grid'")
+            d["sigma_grid"] = np.linspace(0.0, fac * sigma_c, pts).tolist()
+        return d
+
+    def __post_init__(self):
+        if self.n % 2 or self.n < 2:
+            raise ParameterError(f"n must be even and >= 2, got {self.n}")
+        if any(s < 0 for s in self.sigma_grid):
+            raise ParameterError("sigma_grid entries must be nonnegative")
+        cov = covariance_pair(self.model)
+        for s in self.sigma_grid:
+            derived_params(cov, s)
+        _at_least(self, mc_instances=0)
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
-    payload: dict
+    spec: typing.Any  # the kind's schema dataclass
     seed: int
     out_dir: str | None = None
     unknown_keys: list[str] = field(default_factory=list)
 
     def canonical(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed, **self.payload}
+        return {"kind": self.kind, "seed": self.seed, **asdict(self.spec)}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def _need(d: dict, key: str, typ, where: str):
-    if key not in d:
-        raise ParameterError(f"field '{where}.{key}' is required")
-    return _coerce(d[key], key, typ, where)
-
-
-def _opt(d: dict, key: str, typ, default, where: str):
-    if key not in d or d[key] is None:
-        return default
-    return _coerce(d[key], key, typ, where)
-
-
-def _coerce(value, key, typ, where):
-    if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"field '{where}.{key}' must be an integer")
-        return value
-    if not isinstance(value, typ):
-        raise ParameterError(f"field '{where}.{key}' must be {typ.__name__}")
-    return value
-
-
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ParameterError(
-            f"field '{where}': unknown keys {', '.join(unknown)}")
-
-
-def _from_fields(cls, d: dict, where: str, skip=()):
-    """Build the dataclass `cls` from the config object `d`.
-
-    The allowed keys, their types and their defaults are the fields of `cls`
-    (``int | None`` reads as int); a field without a default is required.
-    Fields named in `skip` are not read and keep their defaults.
-    """
-    hints = typing.get_type_hints(cls)
-    read = [f for f in fields(cls) if f.name not in skip]
-    _reject_unknown(d, {f.name for f in read}, where)
-    kwargs = {}
-    for f in read:
-        typ = next((t for t in typing.get_args(hints[f.name])
-                    if t is not type(None)), hints[f.name])
-        kwargs[f.name] = (_need(d, f.name, typ, where) if f.default is MISSING
-                          else _opt(d, f.name, typ, f.default, where))
-    try:
-        return cls(**kwargs)
-    except ParameterError as exc:
-        raise ParameterError(f"field '{where}': {exc}") from exc
-
-
-def _covariance_values(d: dict, where: str) -> tuple[float, float, float]:
-    """Either the three covariance scalars or a quadratic-family model."""
-    if {"phi1_1", "dphi1_1", "phi2_1"} <= set(d):
-        _reject_unknown(d, {"phi1_1", "dphi1_1", "phi2_1"}, where)
-        return (_need(d, "phi1_1", float, where), _need(d, "dphi1_1", float, where),
-                _need(d, "phi2_1", float, where))
-    cov = covariance_pair(_from_fields(ModelParams, {**d, "n": d.get("n", 2)},
-                                       where))
-    return cov.phi1(1.0), cov.dphi1(1.0), cov.phi2(1.0)
-
-
-def _solver_options(d: dict, seed: int, where: str = "solver") -> SolverOptions:
-    return replace(_from_fields(SolverOptions, d, where, skip=("seed",)),
-                   seed=seed)
-
-
-def _solver_dict(opts: SolverOptions) -> dict:
-    return {k: v for k, v in asdict(opts).items() if k != "seed"}
 
 
 def parse_config(path, strict: bool = False) -> ExperimentConfig:
@@ -154,122 +291,15 @@ def parse_config(path, strict: bool = False) -> ExperimentConfig:
     if kind not in _EXPERIMENTS:
         raise ParameterError(
             f"field 'kind' must be one of {', '.join(_EXPERIMENTS)}; got {kind!r}")
-    keys, normalize, _ = _EXPERIMENTS[kind]
-    unknown = sorted(set(raw) - keys - {"kind", "seed", "out_dir"})
-    if unknown and strict:
-        raise ParameterError(f"unknown config keys for {kind}: {', '.join(unknown)}")
-    seed = _opt(raw, "seed", int, 0, "config")
-    out_dir = _opt(raw, "out_dir", str, None, "config")
-    payload = normalize(raw)
-    return ExperimentConfig(kind=kind, payload=payload, seed=seed,
-                            out_dir=out_dir, unknown_keys=unknown)
-
-
-def _norm_predict_sweep(raw: dict) -> dict:
-    model = raw.get("model")
-    if not isinstance(model, dict):
-        raise ParameterError("field 'model' must be an object")
-    phi1, dphi1, phi2 = _covariance_values(model, "model")
-    sigma_grid = [float(s) for s in _need(raw, "sigma_grid", list, "config")]
-    if any(s < 0 for s in sigma_grid):
-        raise ParameterError("field 'sigma_grid': entries must be nonnegative")
-    n_list = [_coerce(n, "n_list", int, "config") for n in
-              _need(raw, "n_list", list, "config")]
-    for n in n_list:
-        if n < 2 or n % 2:
-            raise ParameterError(f"field 'n_list': sizes must be even and >= 2, got {n}")
-    for s in sigma_grid:  # domain gates propagate at validation time
-        DerivedParams.from_values(phi1, dphi1, phi2, s)
-    return {"model": {"phi1_1": phi1, "dphi1_1": dphi1, "phi2_1": phi2},
-            "sigma_grid": sigma_grid, "n_list": n_list}
-
-
-def _norm_mc_count(raw: dict) -> dict:
-    params = _from_fields(ModelParams, _need(raw, "model", dict, "config"),
-                          "model")
-    instances = _need(raw, "instances", int, "config")
-    if instances < 1:
-        raise ParameterError("field 'instances' must be >= 1")
-    solver = _solver_options(_opt(raw, "solver", dict, {}, "config"), 0)
-    bins = _opt(raw, "lambda_bins", int, 12, "config")
-    if bins < 1:
-        raise ParameterError("field 'lambda_bins' must be >= 1")
-    return {"model": params.to_dict(), "instances": instances,
-            "solver": _solver_dict(solver), "lambda_bins": bins,
-            "compare_exact": _opt(raw, "compare_exact", bool, True, "config")}
-
-
-def _norm_spectra(raw: dict) -> dict:
-    n = _need(raw, "n", int, "config")
-    tau = _need(raw, "tau", float, "config")
-    EllipticParams(n, tau)
-    trials = _need(raw, "trials", int, "config")
-    if trials < 100:
-        raise ParameterError("field 'trials' must be >= 100")
-    bins = _opt(raw, "bins", int, 25, "config")
-    if bins < 3:
-        raise ParameterError("field 'bins' must be >= 3")
-    return {"n": n, "tau": tau, "trials": trials, "bins": bins}
-
-
-def _norm_det_identity(raw: dict) -> dict:
-    n = _need(raw, "n", int, "config")
-    tau = _need(raw, "tau", float, "config")
-    if not (-1.0 < tau < 1.0):
-        raise ParameterError(f"field 'tau' must satisfy |tau| < 1, got {tau}")
-    if n % 2 or n < 2:
-        raise ParameterError(f"field 'n' must be even and >= 2, got {n}")
-    lambdas = [float(v) for v in _need(raw, "lambdas", list, "config")]
-    trials = _need(raw, "trials", int, "config")
-    if trials < 100:
-        raise ParameterError("field 'trials' must be >= 100")
-    return {"n": n, "tau": tau, "lambdas": lambdas, "trials": trials}
-
-
-def _norm_dynamics(raw: dict) -> dict:
-    params = _from_fields(ModelParams, _need(raw, "model", dict, "config"),
-                          "model")
-    starts = _need(raw, "starts", int, "config")
-    if starts < 1:
-        raise ParameterError("field 'starts' must be >= 1")
-    opts = _from_fields(DynamicsOptions,
-                        {f.name: raw[f.name] for f in fields(DynamicsOptions)
-                         if f.name in raw}, "config")
-    solver = _solver_options(_opt(raw, "solver", dict, {}, "config"), 0)
-    return {"model": params.to_dict(), "starts": starts, **asdict(opts),
-            "solver": _solver_dict(solver),
-            "instance_seed": _opt(raw, "instance_seed", int, None, "config")}
-
-
-def _norm_transition(raw: dict) -> dict:
-    model_raw = _need(raw, "model", dict, "config")
-    n = _need(raw, "n", int, "config")
-    if n % 2 or n < 2:
-        raise ParameterError(f"field 'n' must be even and >= 2, got {n}")
-    params = _from_fields(ModelParams, {**model_raw, "n": n, "sigma": 0.0},
-                          "model")
-    cov = covariance_pair(params)
-    sigma_c = derived_params(cov, 0.0).sigma_c
-    if "sigma_grid" in raw and raw["sigma_grid"] is not None:
-        grid = [float(s) for s in raw["sigma_grid"]]
-    else:
-        pts = _opt(raw, "grid_points", int, 9, "config")
-        fac = _opt(raw, "max_sigma_factor", float, 2.0, "config")
-        if sigma_c == 0.0:
-            raise ParameterError(
-                "field 'model': sigma_c = 0 (linear field), provide 'sigma_grid'")
-        grid = list(np.linspace(0.0, fac * sigma_c, pts))
-    if any(s < 0 for s in grid):
-        raise ParameterError("field 'sigma_grid': entries must be nonnegative")
-    for s in grid:
-        derived_params(cov, s)
-    mc_instances = _opt(raw, "mc_instances", int, 0, "config")
-    if mc_instances < 0:
-        raise ParameterError("field 'mc_instances' must be >= 0")
-    solver = _solver_options(_opt(raw, "solver", dict, {}, "config"), 0)
-    return {"model": params.to_dict(), "n": n,
-            "sigma_grid": [float(s) for s in grid],
-            "mc_instances": mc_instances, "solver": _solver_dict(solver)}
+    unknown = []
+    spec = _from_fields(_EXPERIMENTS[kind][0],
+                        {k: v for k, v in raw.items()
+                         if k not in ("kind", "seed", "out_dir")},
+                        "config", None if strict else unknown)
+    return ExperimentConfig(kind=kind, spec=spec,
+                            seed=_get(raw, "seed", int, 0, "config"),
+                            out_dir=_get(raw, "out_dir", str, None, "config"),
+                            unknown_keys=unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +336,16 @@ def write_json(path: str, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies
+# experiment bodies: (typed config, master seed, threads, strict) -> artifacts
+# {file name: (header, rows) for a CSV or a dict for a JSON file}
 # ---------------------------------------------------------------------------
 
-def _run_predict_sweep(cfg: ExperimentConfig, out: str, threads: int,
+def _run_predict_sweep(c: PredictSweep, seed: int, threads: int,
                        strict: bool) -> dict:
-    m = cfg.payload["model"]
     rows = []
-    for n in cfg.payload["n_list"]:
-        for sigma in cfg.payload["sigma_grid"]:
-            dp = DerivedParams.from_values(m["phi1_1"], m["dphi1_1"],
-                                           m["phi2_1"], sigma)
+    for n in c.n_list:
+        for sigma in c.sigma_grid:
+            dp = c.model.derived(sigma)
             preds = []
             try:
                 preds.append(mean_total_exact(dp, n))
@@ -326,140 +355,112 @@ def _run_predict_sweep(cfg: ExperimentConfig, out: str, threads: int,
             for pr in preds:
                 rows.append([n, dp.tau, dp.b2, sigma, pr.regime,
                              pr.value, pr.log_value])
-    write_csv(os.path.join(out, "predictions.csv"),
-              ["N", "tau", "b2", "sigma", "regime", "value", "log_value"], rows)
-    summary = {"rows": len(rows),
-               "tolerances": {"quadrature_rel_tol": _QUAD_REL_TOL}}
-    write_json(os.path.join(out, "summary.json"), summary)
-    summary["outputs"] = ["predictions.csv", "summary.json"]
-    return summary
+    return {"predictions.csv": (["N", "tau", "b2", "sigma", "regime", "value",
+                                 "log_value"], rows),
+            "summary.json": {"rows": len(rows), "tolerances":
+                             {"quadrature_rel_tol": _QUAD_REL_TOL}}}
 
 
-def _run_mc_count(cfg: ExperimentConfig, out: str, threads: int,
-                  strict: bool) -> dict:
-    params = ModelParams(**cfg.payload["model"])
-    solver = _solver_options(cfg.payload["solver"], 0)
-    seed = derive_seed(cfg.seed, "mc-count")
-    dp = None
-    pred = None
-    if cfg.payload["compare_exact"] and not params.field_free:
+def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
+    dp = pred = None
+    if c.compare_exact and not c.model.field_free:
         try:
-            dp = derived_params(covariance_pair(params), params.sigma)
-            pred = mean_total_exact(dp, params.n)
+            dp = derived_params(covariance_pair(c.model), c.model.sigma)
+            pred = mean_total_exact(dp, c.model.n)
         except (DomainError, ParameterError):
-            pred = None
+            pass
     scale = dp.lambda_scale if dp is not None else 1.0
-    edges = np.linspace(-3.0 * scale, 3.0 * scale, cfg.payload["lambda_bins"] + 1)
-    result = mc_mean_count(params, cfg.payload["instances"], solver,
-                           seed=seed, lambda_edges=edges, strict=strict,
-                           threads=threads)
-    write_csv(os.path.join(out, "mc_counts.csv"),
-              ["instance", "n_found", "saturated", "seed"],
-              [[i, int(c), bool(s), sd] for i, (c, s, sd) in enumerate(
-                  zip(result.counts, result.saturated, result.instance_seeds))])
+    edges = np.linspace(-3.0 * scale, 3.0 * scale, c.lambda_bins + 1)
+    result = mc_mean_count(c.model, c.instances, SolverOptions(c.solver.n_starts),
+                           seed=derive_seed(seed, "mc-count"),
+                           lambda_edges=edges, strict=strict, threads=threads)
 
     hist_rows = []
-    expected = None
-    if pred is not None and dp is not None:
-        expected = [mean_in_interval(dp, params.n, float(lo), float(hi)).value
-                    for lo, hi in zip(edges[:-1], edges[1:])]
-    for i in range(len(edges) - 1):
+    for i, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
         mc_m = float(result.histogram_mean[i])
         mc_se = float(result.histogram_stderr[i])
-        row = [float(edges[i]), float(edges[i + 1]), mc_m, mc_se]
-        if expected is not None:
-            z = (mc_m - expected[i]) / mc_se if mc_se > 0 else float("nan")
-            row += [expected[i], z]
-        else:
+        row = [lo, hi, mc_m, mc_se]
+        if pred is None:
             row += ["", ""]
+        else:
+            exp = mean_in_interval(dp, c.model.n, lo, hi).value
+            row += [exp, (mc_m - exp) / mc_se if mc_se > 0 else float("nan")]
         hist_rows.append(row)
-    write_csv(os.path.join(out, "histogram.csv"),
-              ["lambda_lo", "lambda_hi", "mc_mean", "mc_stderr",
-               "predicted", "z"], hist_rows)
 
-    summary = {
-        "mean": result.mean, "stderr": result.stderr,
-        "n_instances": cfg.payload["instances"],
-        "n_unsaturated": result.n_unsaturated,
-        "n_excluded": result.n_excluded,
-        "predicted": None if pred is None else pred.value,
-        "z": (None if pred is None or result.stderr == 0
-              else (result.mean - pred.value) / result.stderr),
+    return {
+        "mc_counts.csv": (["instance", "n_found", "saturated", "seed"],
+                          [[i, int(n), bool(s), sd] for i, (n, s, sd) in enumerate(
+                              zip(result.counts, result.saturated,
+                                  result.instance_seeds))]),
+        "histogram.csv": (["lambda_lo", "lambda_hi", "mc_mean", "mc_stderr",
+                           "predicted", "z"], hist_rows),
+        "summary.json": {
+            "mean": result.mean, "stderr": result.stderr,
+            "n_instances": c.instances,
+            "n_unsaturated": result.n_unsaturated,
+            "n_excluded": result.n_excluded,
+            "predicted": None if pred is None else pred.value,
+            "z": (None if pred is None or result.stderr == 0
+                  else (result.mean - pred.value) / result.stderr),
+        },
     }
-    write_json(os.path.join(out, "summary.json"), summary)
-    summary["outputs"] = ["mc_counts.csv", "histogram.csv", "summary.json"]
-    return summary
 
 
-def _run_spectra_validate(cfg: ExperimentConfig, out: str, threads: int,
+def _run_spectra_validate(c: SpectraValidate, seed: int, threads: int,
                           strict: bool) -> dict:
-    p = EllipticParams(cfg.payload["n"], cfg.payload["tau"])
-    seed = derive_seed(cfg.seed, "spectra-validate")
-    trials, bins = cfg.payload["trials"], cfg.payload["bins"]
-    profile = DensityProfile.monte_carlo(p, trials, seed, bins=bins)
+    p = EllipticParams(c.n, c.tau)
+    profile = DensityProfile.monte_carlo(p, c.trials,
+                                         derive_seed(seed, "spectra-validate"),
+                                         bins=c.bins)
     edges = np.asarray(profile.metadata["bin_edges"]) * math.sqrt(p.n)
     expected = expected_counts_in_bins(p, edges)
     width_x = np.diff(edges)
     rows = []
     zmax = 0.0
-    for i in range(bins):
+    for i in range(c.bins):
         obs = float(profile.values[i])
         se = float(profile.stderr[i])
         exp_density = float(expected[i] / width_x[i])
         z = (obs - exp_density) / se if se > 0 else 0.0
-        if se > 0:
-            zmax = max(zmax, abs(z))
+        zmax = max(zmax, abs(z))
         rows.append([float(profile.grid[i]), obs, se, exp_density, z])
-    write_csv(os.path.join(out, "density_check.csv"),
-              ["lambda", "mc_rho", "mc_stderr", "exact_rho", "z"], rows)
     exact = DensityProfile.exact(p)
-    write_csv(os.path.join(out, "profile_exact.csv"), ["lambda", "rho", "method"],
-              [[lam, rho, exact.method]
-               for lam, rho in zip(exact.grid, exact.values)])
 
-    mc_mean, mc_se = mean_real_count(p, trials, derive_seed(cfg.seed, "count"))
+    mc_mean, mc_se = mean_real_count(p, c.trials, derive_seed(seed, "count"))
     integral = expected_real_count(p)
     z_int = (mc_mean - integral) / mc_se if mc_se > 0 else 0.0
-    summary = {"n": p.n, "tau": p.tau, "trials": trials,
-               "max_abs_bin_z": zmax,
-               "mc_mean_count": mc_mean, "mc_stderr": mc_se,
-               "density_integral": integral, "count_z": z_int}
-    write_json(os.path.join(out, "summary.json"), summary)
-    summary["outputs"] = ["density_check.csv", "profile_exact.csv", "summary.json"]
-    return summary
+    return {
+        "density_check.csv": (["lambda", "mc_rho", "mc_stderr", "exact_rho",
+                               "z"], rows),
+        "profile_exact.csv": (["lambda", "rho", "method"],
+                              [[lam, rho, exact.method]
+                               for lam, rho in zip(exact.grid, exact.values)]),
+        "summary.json": {"n": p.n, "tau": p.tau, "trials": c.trials,
+                         "max_abs_bin_z": zmax,
+                         "mc_mean_count": mc_mean, "mc_stderr": mc_se,
+                         "density_integral": integral, "count_z": z_int},
+    }
 
 
-def _run_det_identity(cfg: ExperimentConfig, out: str, threads: int,
+def _run_det_identity(c: DetIdentity, seed: int, threads: int,
                       strict: bool) -> dict:
-    seed = derive_seed(cfg.seed, "det-identity")
-    rows = []
-    zmax = 0.0
-    for lam in cfg.payload["lambdas"]:
-        rep = validate_det_identity(cfg.payload["tau"], cfg.payload["n"],
-                                    lam, cfg.payload["trials"], seed)
-        zmax = max(zmax, abs(rep.z))
-        rows.append([lam, rep.ratio, rep.stderr, rep.z,
-                     rep.mc_log_mean, rep.rhs_log])
-    write_csv(os.path.join(out, "det_identity.csv"),
-              ["lambda", "ratio", "stderr", "z", "mc_log_mean", "rhs_log"], rows)
-    summary = {"n": cfg.payload["n"], "tau": cfg.payload["tau"],
-               "trials": cfg.payload["trials"], "max_abs_z": zmax}
-    write_json(os.path.join(out, "summary.json"), summary)
-    summary["outputs"] = ["det_identity.csv", "summary.json"]
-    return summary
+    seed = derive_seed(seed, "det-identity")
+    reps = [validate_det_identity(c.tau, c.n, lam, c.trials, seed)
+            for lam in c.lambdas]
+    rows = [[lam, r.ratio, r.stderr, r.z, r.mc_log_mean, r.rhs_log]
+            for lam, r in zip(c.lambdas, reps)]
+    return {"det_identity.csv": (["lambda", "ratio", "stderr", "z",
+                                  "mc_log_mean", "rhs_log"], rows),
+            "summary.json": {"n": c.n, "tau": c.tau, "trials": c.trials,
+                             "max_abs_z": max([0.0] + [abs(r.z) for r in reps])}}
 
 
-def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int,
-                  strict: bool) -> dict:
-    params = ModelParams(**cfg.payload["model"])
-    iseed = cfg.payload["instance_seed"]
-    if iseed is None:
-        iseed = derive_seed(cfg.seed, "dynamics-instance")
-    inst = sample_field(params, iseed)
-    solver = _solver_options(cfg.payload["solver"],
-                             derive_seed(cfg.seed, "dynamics-solver"))
-    report = find_equilibria(inst, solver)
-    write_json(os.path.join(out, "equilibria.json"), {
+def _run_dynamics(c: Dynamics, seed: int, threads: int, strict: bool) -> dict:
+    inst = sample_field(c.model, derive_seed(seed, "dynamics-instance")
+                        if c.instance_seed is None else c.instance_seed)
+    report = find_equilibria(inst, SolverOptions(
+        c.solver.n_starts, derive_seed(seed, "dynamics-solver")))
+    equilibria = {
         "n_found": report.n_found,
         "n_starts": report.n_starts,
         "n_converged_starts": report.n_converged_starts,
@@ -471,87 +472,72 @@ def _run_dynamics(cfg: ExperimentConfig, out: str, threads: int,
                     "tangent_spectrum": [[z.real, z.imag]
                                          for z in pt.tangent_spectrum]}
                    for pt in report.points],
-    })
+    }
 
-    rng = stream(derive_seed(cfg.seed, "dynamics-starts"), 0)
-    g = rng.standard_normal((cfg.payload["starts"], params.n))
-    x0 = math.sqrt(params.n) * g / np.linalg.norm(g, axis=1, keepdims=True)
-    opts = DynamicsOptions(dt=cfg.payload["dt"], t_max=cfg.payload["t_max"],
-                           v_tol=cfg.payload["v_tol"])
-    results = run_to_equilibrium_batch(inst, x0, opts, report)
+    rng = stream(derive_seed(seed, "dynamics-starts"), 0)
+    g = rng.standard_normal((c.starts, c.model.n))
+    x0 = math.sqrt(c.model.n) * g / np.linalg.norm(g, axis=1, keepdims=True)
+    results = run_to_equilibrium_batch(inst, x0, c, report)
     rows = [[i, r.converged, r.t, r.lam, r.v_norm,
              "" if r.matched is None else r.matched]
             for i, r in enumerate(results)]
-    write_csv(os.path.join(out, "dynamics.csv"),
-              ["start", "converged", "t_end", "lambda", "v_norm",
-               "matched_equilibrium"], rows)
     n_conv = sum(r.converged for r in results)
     n_match = sum(r.matched is not None for r in results)
-    summary = {"starts": cfg.payload["starts"],
-               "n_equilibria": report.n_found,
-               "saturated": report.saturated,
-               "fraction_converged": n_conv / len(results),
-               "fraction_matched": n_match / len(results)}
-    write_json(os.path.join(out, "summary.json"), summary)
-    summary["outputs"] = ["equilibria.json", "dynamics.csv", "summary.json"]
-    return summary
+    return {
+        "equilibria.json": equilibria,
+        "dynamics.csv": (["start", "converged", "t_end", "lambda", "v_norm",
+                          "matched_equilibrium"], rows),
+        "summary.json": {"starts": c.starts,
+                         "n_equilibria": report.n_found,
+                         "saturated": report.saturated,
+                         "fraction_converged": n_conv / len(results),
+                         "fraction_matched": n_match / len(results)},
+    }
 
 
-def _run_transition_curve(cfg: ExperimentConfig, out: str, threads: int,
+def _run_transition_curve(c: TransitionCurve, seed: int, threads: int,
                           strict: bool) -> dict:
-    base = ModelParams(**cfg.payload["model"])
-    n = cfg.payload["n"]
-    cov = covariance_pair(base)
-    solver = _solver_options(cfg.payload["solver"], 0)
+    cov = covariance_pair(c.model)
     rows = []
     n_unsat = 0
-    for i, sigma in enumerate(cfg.payload["sigma_grid"]):
+    for i, sigma in enumerate(c.sigma_grid):
         dp = derived_params(cov, sigma)
         exact = None
         try:
-            exact = mean_total_exact(dp, n)
+            exact = mean_total_exact(dp, c.n)
         except DomainError:
             pass
-        asym = predict_asymptotic(dp, n)
+        asym = predict_asymptotic(dp, c.n)
         row = [sigma, dp.b2,
                "" if exact is None else exact.value,
                "" if exact is None else exact.log_value,
                asym.regime, asym.value]
-        if cfg.payload["mc_instances"] > 0:
-            res = mc_mean_count(replace(base, sigma=sigma),
-                                cfg.payload["mc_instances"], solver,
-                                seed=derive_seed(cfg.seed, f"curve-{i}"),
+        if c.mc_instances > 0:
+            res = mc_mean_count(replace(c.model, sigma=sigma), c.mc_instances,
+                                SolverOptions(c.solver.n_starts),
+                                seed=derive_seed(seed, f"curve-{i}"),
                                 strict=strict, threads=threads)
             n_unsat += res.n_unsaturated
             row += [res.mean, res.stderr]
         else:
             row += ["", ""]
         rows.append(row)
-    write_csv(os.path.join(out, "transition_curve.csv"),
-              ["sigma", "b2", "exact_value", "exact_log_value",
-               "asympt_regime", "asympt_value", "mc_mean", "mc_stderr"], rows)
-    summary = {"n": n, "sigma_c": derived_params(cov, 0.0).sigma_c,
-               "grid_points": len(rows), "n_unsaturated": n_unsat}
-    write_json(os.path.join(out, "summary.json"), summary)
-    summary["outputs"] = ["transition_curve.csv", "summary.json"]
-    return summary
+    return {"transition_curve.csv": (["sigma", "b2", "exact_value",
+                                      "exact_log_value", "asympt_regime",
+                                      "asympt_value", "mc_mean", "mc_stderr"],
+                                     rows),
+            "summary.json": {"n": c.n, "sigma_c": derived_params(cov, 0.0).sigma_c,
+                             "grid_points": len(rows), "n_unsaturated": n_unsat}}
 
 
-# kind -> (config keys besides kind/seed/out_dir, normalizer, experiment body)
+# kind -> (config schema, experiment body)
 _EXPERIMENTS = {
-    "predict-sweep": ({"model", "sigma_grid", "n_list"},
-                      _norm_predict_sweep, _run_predict_sweep),
-    "mc-count": ({"model", "instances", "solver", "lambda_bins",
-                  "compare_exact"}, _norm_mc_count, _run_mc_count),
-    "spectra-validate": ({"n", "tau", "trials", "bins"},
-                         _norm_spectra, _run_spectra_validate),
-    "det-identity": ({"n", "tau", "lambdas", "trials"},
-                     _norm_det_identity, _run_det_identity),
-    "dynamics": ({"model", "starts", "dt", "t_max", "v_tol", "solver",
-                  "instance_seed"}, _norm_dynamics, _run_dynamics),
-    "transition-curve": ({"model", "n", "sigma_grid", "grid_points",
-                          "max_sigma_factor", "mc_instances", "solver"},
-                         _norm_transition, _run_transition_curve),
+    "predict-sweep": (PredictSweep, _run_predict_sweep),
+    "mc-count": (MCCount, _run_mc_count),
+    "spectra-validate": (SpectraValidate, _run_spectra_validate),
+    "det-identity": (DetIdentity, _run_det_identity),
+    "dynamics": (Dynamics, _run_dynamics),
+    "transition-curve": (TransitionCurve, _run_transition_curve),
 }
 
 
@@ -561,11 +547,16 @@ _EXPERIMENTS = {
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
         strict: bool = False) -> tuple[int, dict]:
-    """Execute a validated config; returns (exit code, manifest)."""
+    """Execute a validated config; returns (exit code, manifest).  Artifacts
+    are written once the body returns them all: a failed run writes none."""
     out = out_dir or cfg.out_dir or f"{cfg.kind}-out"
-    os.makedirs(out, exist_ok=True)
     t0 = time.time()
-    summary = _EXPERIMENTS[cfg.kind][2](cfg, out, threads, strict)
+    artifacts = _EXPERIMENTS[cfg.kind][1](cfg.spec, cfg.seed, threads, strict)
+    for name, data in artifacts.items():
+        if isinstance(data, dict):
+            write_json(os.path.join(out, name), data)
+        else:
+            write_csv(os.path.join(out, name), *data)
     manifest = {
         "kind": cfg.kind,
         "config": cfg.canonical(),
@@ -575,15 +566,13 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
         "versions": {"sphere_equilibria": __version__,
                      "numpy": np.__version__,
                      "python": sys.version.split()[0]},
-        "outputs": summary.get("outputs", []),
+        "outputs": list(artifacts),
         "wall_time_s": time.time() - t0,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     write_json(os.path.join(out, "manifest.json"), manifest)
-    code = 0
-    if strict and summary.get("n_unsaturated", 0):
-        code = 4
-    return code, manifest
+    unsaturated = strict and artifacts["summary.json"].get("n_unsaturated", 0)
+    return (4 if unsaturated else 0), manifest
 
 
 def _error_json(kind: str, exc: Exception) -> str:

@@ -329,23 +329,29 @@ def save_field(inst: FieldInstance, path) -> None:
 
 
 def load_field(path) -> FieldInstance:
+    """Read a `save_field` container; any malformed one raises ParameterError."""
     with open(path, "rb") as fh:
         data = fh.read()
     buf = io.BytesIO(data)
     if buf.read(len(_MAGIC)) != _MAGIC:
         raise ParameterError(f"{path}: not a field container (bad magic)")
-    (hlen,) = struct.unpack("<Q", buf.read(8))
-    header = json.loads(buf.read(hlen).decode())
-    if header.get("format") != 1:
-        raise ParameterError(f"{path}: unsupported container format")
-    params = ModelParams(**header["params"])
-    arrays = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape))
-        raw = buf.read(count * 8)
-        if len(raw) != count * 8:
-            raise ParameterError(f"{path}: truncated array {spec['name']}")
-        arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return FieldInstance(params, header["seed"],
-                         arrays["w1"], arrays["w2"], arrays["wh"])
+    try:
+        (hlen,) = struct.unpack("<Q", buf.read(8))
+        header = json.loads(buf.read(hlen).decode())
+        if header.get("format") != 1:
+            raise ParameterError(f"{path}: unsupported container format")
+        params = ModelParams(**header["params"])
+        seed = header["seed"]
+        arrays = {}
+        for spec in header["arrays"]:
+            shape = tuple(spec["shape"])
+            count = int(np.prod(shape))
+            raw = buf.read(count * 8)
+            if len(raw) != count * 8:
+                raise ParameterError(f"{path}: truncated array {spec['name']}")
+            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        w1, w2, wh = arrays["w1"], arrays["w2"], arrays["wh"]
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, KeyError,
+            TypeError, AttributeError) as exc:
+        raise ParameterError(f"{path}: malformed field container ({exc!r})") from exc
+    return FieldInstance(params, seed, w1, w2, wh)

@@ -139,12 +139,10 @@ def _log_double_factorial_even(m: int) -> float:
 def _integration_cap(dp: DerivedParams, n: int) -> float:
     """Rescaled-lambda cutoff beyond which the integrand is negligible."""
     cap = support_lambda_max(n, dp.tau)
-    if dp.big_b < 0.0:
-        b = math.sqrt(dp.b2)
-        lam_star = b + dp.tau / b
-        l_second = 2.0 * dp.b2 / ((dp.b2 + dp.tau) * (dp.b2 - dp.tau))
-        width = math.sqrt(160.0 / (n * l_second))
-        cap = max(cap, lam_star + 3.0 * width, lam_star * 1.25)
+    if dp.big_b < 0.0:  # trivial phase: past the saddle point lambda*
+        asym = asympt_fixed(dp)
+        width = math.sqrt(160.0 / (n * -asym.l_second))
+        cap = max(cap, asym.lambda_star + 3.0 * width, asym.lambda_star * 1.25)
     return cap
 
 

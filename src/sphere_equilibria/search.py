@@ -62,6 +62,10 @@ class SolverOptions:
     n_starts: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_starts is not None and self.n_starts < 1:
+            raise ParameterError(f"n_starts must be >= 1, got {self.n_starts}")
+
 
 @dataclass
 class EquilibriumPoint:
@@ -343,7 +347,6 @@ class MCCountResult:
     saturated: np.ndarray
     instance_seeds: list[int]
     n_excluded: int
-    histogram_edges: np.ndarray | None = None
     histogram_mean: np.ndarray | None = None
     histogram_stderr: np.ndarray | None = None
 
@@ -410,7 +413,6 @@ def mc_mean_count(params: ModelParams, n_instances: int,
                            n_excluded=int(n_instances - n_keep))
     if hist is not None:
         hk = hist[keep]
-        result.histogram_edges = edges
         result.histogram_mean = hk.mean(axis=0)
         result.histogram_stderr = (hk.std(ddof=1, axis=0) / math.sqrt(n_keep)
                                    if n_keep > 1 else np.zeros(hk.shape[1]))

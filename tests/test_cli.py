@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,17 +36,62 @@ MINIMAL_SWEEP = {
 }
 
 
+MODEL4 = {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3, "alpha2": 0.2,
+          "sigma": 1.0}
+
+ONE_OF_EACH_KIND = {
+    "predict-sweep": MINIMAL_SWEEP,
+    "mc-count": {"kind": "mc-count", "model": MODEL4, "instances": 3,
+                 "solver": {"n_starts": 50}},
+    "spectra-validate": {"kind": "spectra-validate", "n": 4, "tau": 0.3,
+                         "trials": 200},
+    "det-identity": {"kind": "det-identity", "n": 4, "tau": 0.5,
+                     "lambdas": [0.0, 1], "trials": 1000},
+    "dynamics": {"kind": "dynamics", "model": MODEL4, "starts": 5,
+                 "t_max": 1, "seed": 3},
+    "transition-curve": {"kind": "transition-curve",
+                         "model": {"j1": 1.0, "j2": 1.0, "alpha1": 0.3},
+                         "n": 4, "grid_points": 3},
+}
+
+# one malformed value per case; each must be rejected at parse time
+SWEEP = {"kind": "predict-sweep", "model": {"j1": 1.0}, "n_list": [4]}
+CURVE = {"kind": "transition-curve", "model": {"j1": 1.0, "j2": 1.0}, "n": 4}
+DET = {"kind": "det-identity", "n": 4, "tau": 0.5, "trials": 1000}
+MC = {"kind": "mc-count", "model": MODEL4, "instances": 2}
+DYN = {"kind": "dynamics", "model": MODEL4, "starts": 2}
+MALFORMED = {
+    "string-in-sigma-grid": ({**SWEEP, "sigma_grid": ["x"]}, "sigma_grid"),
+    "string-sigma-grid": ({**CURVE, "sigma_grid": "abc"}, "sigma_grid"),
+    "null-lambda": ({**DET, "lambdas": [None]}, "lambdas"),
+    "negative-grid-points": ({**CURVE, "grid_points": -2}, "grid_points"),
+    "negative-n-starts-mc": ({**MC, "solver": {"n_starts": -5}}, "n_starts"),
+    "negative-n-starts-dyn": ({**DYN, "solver": {"n_starts": -5}}, "n_starts"),
+    "infinite-t-max": ({**DYN, "t_max": math.inf}, "t_max"),
+    "nan-sigma": ({**SWEEP, "sigma_grid": [math.nan]}, "sigma_grid"),
+    "bool-sigma": ({**SWEEP, "sigma_grid": [True]}, "sigma_grid"),
+    "zero-n-starts": ({**MC, "solver": {"n_starts": 0}}, "n_starts"),
+    "infinite-max-sigma-factor": ({**CURVE, "max_sigma_factor": math.inf},
+                                  "max_sigma_factor"),
+    "infinite-sigma": ({**SWEEP, "sigma_grid": [0.5, math.inf]}, "sigma_grid"),
+    "infinite-lambda": ({**DET, "lambdas": [math.inf]}, "lambdas"),
+    "odd-spectra-n": ({"kind": "spectra-validate", "n": 5, "tau": 0.3,
+                       "trials": 100_000}, "even n"),
+}
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, MINIMAL_SWEEP))
         assert cfg.kind == "predict-sweep"
         assert cfg.seed == 0  # default recorded explicitly
-        assert cfg.payload["n_list"] == [4]
+        assert cfg.canonical()["n_list"] == [4]
         # model normalized to the covariance scalars
-        assert set(cfg.payload["model"]) == {"phi1_1", "dphi1_1", "phi2_1"}
+        assert set(cfg.canonical()["model"]) == {"phi1_1", "dphi1_1", "phi2_1"}
 
-    def test_round_trip(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, MINIMAL_SWEEP))
+    @pytest.mark.parametrize("kind", list(ONE_OF_EACH_KIND))
+    def test_round_trip(self, tmp_path, kind):
+        cfg = parse_config(write_config(tmp_path, ONE_OF_EACH_KIND[kind]))
         again = parse_config(write_config(tmp_path, cfg.canonical(), "r.json"))
         assert again.canonical() == cfg.canonical()
         assert again.config_hash() == cfg.config_hash()
@@ -124,6 +170,13 @@ class TestRunner:
         assert code == 0
         text = (tmp_path / "out" / "predictions.csv").read_text()
         assert text == "N,tau,b2,sigma,regime,value,log_value\n"
+        # zero grid points is an empty sigma grid, not the default nine
+        payload = {**ONE_OF_EACH_KIND["transition-curve"], "grid_points": 0}
+        cfg = parse_config(write_config(tmp_path, payload, "curve.json"))
+        assert run(cfg, out_dir=str(tmp_path / "curve"))[0] == 0
+        text = (tmp_path / "curve" / "transition_curve.csv").read_text()
+        assert text == ("sigma,b2,exact_value,exact_log_value,asympt_regime,"
+                        "asympt_value,mc_mean,mc_stderr\n")
 
     def test_row_bytes_independent_of_other_rows(self, tmp_path):
         # each sweep runs in a fresh interpreter, so no in-process state is
@@ -158,7 +211,7 @@ class TestRunner:
                    "lambdas": [0.0], "trials": 2000}
         cfg = parse_config(write_config(tmp_path, payload))
         run(cfg, out_dir=str(tmp_path / "a"))
-        cfg2 = ExperimentConfig(kind=cfg.kind, payload=cfg.payload, seed=1)
+        cfg2 = ExperimentConfig(kind=cfg.kind, spec=cfg.spec, seed=1)
         run(cfg2, out_dir=str(tmp_path / "b"))
         assert ((tmp_path / "a" / "det_identity.csv").read_bytes()
                 != (tmp_path / "b" / "det_identity.csv").read_bytes())
@@ -222,6 +275,17 @@ class TestMainExitCodes:
         assert main(["run", path]) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_value_rejected_at_parse_time(self, tmp_path, capsys,
+                                                     case):
+        payload, fragment = MALFORMED[case]
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "config"
+        assert fragment in err["error"]["message"]
+        assert not os.path.exists(tmp_path / "o")
 
     def test_nonpositive_t_max_is_config_error(self, tmp_path, capsys):
         payload = {"kind": "dynamics", "starts": 2, "t_max": -2,

@@ -1,13 +1,15 @@
 """Field sampler, analytic covariances, Jacobians, serialization."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sphere_equilibria.errors import ParameterError
-from sphere_equilibria.field_model import (CovariancePair,
+from sphere_equilibria.field_model import (_MAGIC, CovariancePair,
                                            JacobianCovariance, ModelParams,
                                            covariance_pair, field_covariance,
                                            load_field, sample_field,
@@ -310,5 +312,33 @@ class TestSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a container")
+        with pytest.raises(ParameterError):
+            load_field(path)
+
+    @pytest.mark.parametrize("damage", [
+        "unknown-param", "missing-n", "missing-seed", "missing-arrays",
+        "header-not-json", "cut-in-length"])
+    def test_malformed_container_rejected(self, tmp_path, damage):
+        path = tmp_path / "field.bin"
+        save_field(sample_field(ModelParams(n=3, j1=1.0, j2=0.5), 5), path)
+        data = path.read_bytes()
+        m = len(_MAGIC)
+        (hlen,) = struct.unpack("<Q", data[m:m + 8])
+        header = json.loads(data[m + 8:m + 8 + hlen])
+        edits = {"unknown-param": lambda h: h["params"].update(colour=1),
+                 "missing-n": lambda h: h["params"].pop("n"),
+                 "missing-seed": lambda h: h.pop("seed"),
+                 "missing-arrays": lambda h: h.pop("arrays")}
+        if damage == "cut-in-length":
+            data = data[:m + 4]
+        else:
+            if damage == "header-not-json":
+                blob = b"{not json"
+            else:
+                edits[damage](header)
+                blob = json.dumps(header).encode()
+            data = (data[:m] + struct.pack("<Q", len(blob)) + blob
+                    + data[m + 8 + hlen:])
+        path.write_bytes(data)
         with pytest.raises(ParameterError):
             load_field(path)

@@ -386,6 +386,13 @@ class TestStartBudget:
         assert ([f.name for f in dataclasses.fields(SolverOptions)]
                 == ["n_starts", "seed"])
 
+    @pytest.mark.parametrize("n_starts", [0, -5])
+    def test_nonpositive_budget_rejected(self, n_starts):
+        # 0 used to report an unsaturated empty count, -5 a numpy ValueError
+        inst = sample_field(ModelParams(n=4, j1=1.0, sigma=1.0), 3)
+        with pytest.raises(ParameterError, match="n_starts"):
+            find_equilibria(inst, SolverOptions(n_starts=n_starts))
+
 
 class TestMCCount:
     def test_deterministic_and_threaded_identical(self):
