@@ -20,7 +20,7 @@ from .elliptic import (DensityProfile, EllipticParams, expected_real_count,
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import (CovariancePair, FieldInstance, JacobianCovariance,
                           ModelParams, covariance_pair, field_covariance,
-                          load_field, sample_field, save_field)
+                          sample_field)
 from .predictor import (CountPrediction, DerivedParams, DetIdentityReport,
                         FixedAsymptote, asympt_fixed, crossover_gamma,
                         crossover_kappa, derived_params, mean_in_interval,
@@ -37,7 +37,6 @@ __all__ = [
     # field model
     "ModelParams", "CovariancePair", "FieldInstance", "sample_field",
     "covariance_pair", "field_covariance", "JacobianCovariance",
-    "save_field", "load_field",
     # elliptic ensemble
     "EllipticParams", "DensityProfile", "sample_elliptic",
     "sample_elliptic_batch", "real_eigenvalues", "real_eigenvalue_values",

@@ -186,7 +186,7 @@ def hermite_tau(k: int, tau: float, x):
     return h_cur if h_cur.ndim else float(h_cur)
 
 
-def _psi_hat_scan(n: int, tau: float, xs: np.ndarray
+def _psi_hat_scan(n: int, tau: float, xs: np.ndarray, weighted: bool = True
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pass over psi_hat_k = exp(-x^2/(2(1+tau))) h_k/sqrt(k!), k <= n-1.
 
@@ -207,15 +207,22 @@ def _psi_hat_scan(n: int, tau: float, xs: np.ndarray
     (-1, 1), so Ihat is summed in linear scale.
 
     Returns (log sum_{k<=n-2} psi_hat_k^2, sign and log|psi_hat_{n-1}|,
-    Ihat_{n-2}).
+    Ihat_{n-2}).  With `weighted` false both logs are returned times the
+    inverse weight exp(x^2/(2(1+tau))), which is never formed: the sum keeps
+    one factor exp(-x^2/(2(1+tau))) and psi_hat_{n-1} none, so both stay
+    finite for every finite x, even where x^2 overflows.
     """
     xs = np.asarray(xs, dtype=float)
     c = 1.0 + tau
-    gauss_log = -xs * xs / (2.0 * c)
+    with np.errstate(over="ignore"):  # x^2 = inf gives the limit -inf
+        gauss_log = -xs * xs / (2.0 * c)
+    # weight factors left in the returned logs besides one in each psi_hat_k^2
+    kept_log = gauss_log if weighted else np.zeros_like(xs)
     a_prev = np.zeros_like(xs)
     a_cur = np.ones_like(xs)
     scale_log = np.zeros_like(xs)
-    # sum_k psi_hat_k^2 = exp(log_done) + part * exp(2 (scale_log + gauss_log));
+    # sum_k psi_hat_k^2, times the inverse weight unless `weighted`, is
+    # exp(log_done) + part * exp(2 scale_log + gauss_log + kept_log);
     # part is folded into log_done whenever a point is rescaled, so it holds
     # at most n terms below 1e200 each and cannot overflow
     part = np.zeros_like(xs)
@@ -235,15 +242,17 @@ def _psi_hat_scan(n: int, tau: float, xs: np.ndarray
             fac = m[i]
             with np.errstate(divide="ignore"):
                 log_done[i] = np.logaddexp(
-                    log_done[i], np.log(part[i]) + 2.0 * (scale_log[i] + gauss_log[i]))
+                    log_done[i], np.log(part[i]) + (2.0 * scale_log[i]
+                                                     + (gauss_log[i] + kept_log[i])))
             part[i] = 0.0
             a_prev[i] /= fac
             a_cur[i] /= fac
             scale_log[i] += np.log(fac)
 
     with np.errstate(divide="ignore"):
-        rho1_log = np.logaddexp(log_done, np.log(part) + 2.0 * (scale_log + gauss_log))
-        log_top = np.log(np.abs(a_cur)) + scale_log + gauss_log
+        rho1_log = np.logaddexp(
+            log_done, np.log(part) + (2.0 * scale_log + (gauss_log + kept_log)))
+        log_top = np.log(np.abs(a_cur)) + scale_log + kept_log
     return rho1_log, np.sign(a_cur), log_top, anti
 
 
@@ -251,7 +260,8 @@ def _psi_hat_scan(n: int, tau: float, xs: np.ndarray
 # exact finite-N density
 # ---------------------------------------------------------------------------
 
-def log_rho_real_exact(p: EllipticParams, x) -> np.ndarray:
+def log_rho_real_exact(p: EllipticParams, x, *, weighted: bool = True
+                       ) -> np.ndarray:
     """log of the exact mean density of real eigenvalues at x (vectorized).
 
     The density splits into a positive Hermite-series part
@@ -261,7 +271,9 @@ def log_rho_real_exact(p: EllipticParams, x) -> np.ndarray:
     the closed recurrence ``Ihat_{k+1} = sqrt(k/(k+1)) Ihat_{k-1}
     - (1+tau)/sqrt(k+1) psi_hat_k(x)`` over odd k, started at the erf form of
     Ihat_0.  Stateless, O(N) per point, and finite in log space for any
-    finite x; a non-finite x is rejected.
+    finite x; a non-finite x is rejected.  With `weighted=False` it returns
+    ``log rho(x) + x^2/(2(1+tau))`` without forming either term, so the
+    Gaussian factor neither overflows nor cancels at large |x|.
     """
     p.require_exact_density()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -269,7 +281,7 @@ def log_rho_real_exact(p: EllipticParams, x) -> np.ndarray:
         raise ParameterError("real-eigenvalue density needs a finite x")
     n, tau = p.n, p.tau
 
-    rho1_log, sign_nm1, log_nm1, anti = _psi_hat_scan(n, tau, xs)
+    rho1_log, sign_nm1, log_nm1, anti = _psi_hat_scan(n, tau, xs, weighted)
     rho1_log = rho1_log - math.log(_SQRT_2PI)
     coef_log = 0.5 * math.log(n - 1.0) - math.log(_SQRT_2PI) - math.log1p(tau)
     with np.errstate(divide="ignore"):

@@ -14,10 +14,7 @@ draws is exact (see `FieldInstance.with_scales`).
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +30,8 @@ __all__ = [
     "covariance_pair",
     "field_covariance",
     "JacobianCovariance",
-    "save_field",
-    "load_field",
 ]
 
-_MAGIC = b"SPHEQFLD1\n"
 _W1_STREAM, _W2_STREAM, _WH_STREAM = 0, 1, 2
 
 
@@ -70,11 +64,6 @@ class ModelParams:
         if self.j1 == 0.0 and self.j2 == 0.0 and not self.field_free:
             raise ParameterError(
                 "j1 = j2 = 0 requires field_free=True (degenerate coupling field)")
-
-    def to_dict(self) -> dict:
-        return {"n": int(self.n), "j1": self.j1, "j2": self.j2,
-                "alpha1": self.alpha1, "alpha2": self.alpha2,
-                "sigma": self.sigma, "field_free": self.field_free}
 
 
 @dataclass(frozen=True)
@@ -294,64 +283,4 @@ def sample_field(params: ModelParams, seed: int) -> FieldInstance:
     w1 = stream(seed, _W1_STREAM).standard_normal((n, n))
     w2 = stream(seed, _W2_STREAM).standard_normal((n, n, n))
     wh = stream(seed, _WH_STREAM).standard_normal(n)
-    return FieldInstance(params, seed, w1, w2, wh)
-
-
-# ---------------------------------------------------------------------------
-# binary container
-# ---------------------------------------------------------------------------
-
-def save_field(inst: FieldInstance, path) -> None:
-    """Flat binary container: JSON header, then the raw unit draws.
-
-    Layout: magic, little-endian uint64 header length, UTF-8 JSON header
-    (params, seed, array shapes, dtype), then the C-order float64 bytes of
-    the three unit-draw blocks.  Loading reproduces evaluation bit-exactly.
-    """
-    header = {
-        "format": 1,
-        "params": inst.params.to_dict(),
-        "seed": inst.seed,
-        "dtype": "<f8",
-        "arrays": [
-            {"name": "w1", "shape": list(inst._w1.shape)},
-            {"name": "w2", "shape": list(inst._w2.shape)},
-            {"name": "wh", "shape": list(inst._wh.shape)},
-        ],
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for arr in (inst._w1, inst._w2, inst._wh):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_field(path) -> FieldInstance:
-    """Read a `save_field` container; any malformed one raises ParameterError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    buf = io.BytesIO(data)
-    if buf.read(len(_MAGIC)) != _MAGIC:
-        raise ParameterError(f"{path}: not a field container (bad magic)")
-    try:
-        (hlen,) = struct.unpack("<Q", buf.read(8))
-        header = json.loads(buf.read(hlen).decode())
-        if header.get("format") != 1:
-            raise ParameterError(f"{path}: unsupported container format")
-        params = ModelParams(**header["params"])
-        seed = header["seed"]
-        arrays = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape))
-            raw = buf.read(count * 8)
-            if len(raw) != count * 8:
-                raise ParameterError(f"{path}: truncated array {spec['name']}")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        w1, w2, wh = arrays["w1"], arrays["w2"], arrays["wh"]
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, KeyError,
-            TypeError, AttributeError) as exc:
-        raise ParameterError(f"{path}: malformed field container ({exc!r})") from exc
     return FieldInstance(params, seed, w1, w2, wh)

@@ -84,6 +84,9 @@ class DerivedParams:
             raise ParameterError(f"sigma must be nonnegative, got {sigma}")
         tau = phi2 / dphi1
         b2 = (sigma * sigma + phi1) / dphi1
+        if not math.isfinite(b2):
+            raise ParameterError(
+                f"b^2 = (sigma^2 + Phi1(1)) / Phi1'(1) overflows at sigma = {sigma}")
         if tau <= -1.0 + _EXCEPTIONAL_TOL:
             raise DomainError(
                 "exceptional antisymmetric case tau = -1: purely antisymmetric "
@@ -235,33 +238,43 @@ def validate_det_identity(tau: float, n: int, lam: float, trials: int,
     """Compare E|det(X - lam sqrt(N))| over (N-1)-size draws with the density.
 
     The reference value is ``2 (N-2)!! sqrt(1+tau) exp(N lam^2/(2(1+tau)))
-    rho_N(lam sqrt N)``.  Everything is accumulated in log space.  Draws
-    follow `elliptic_batches` in batches of 8192.
+    rho_N(lam sqrt N)``.  Everything is accumulated in log space, so the
+    ratio is finite for every lam with a finite lam sqrt(N).  A lam so far
+    out that all draws give the same |det| to rounding has no standard error
+    and is rejected.  Draws follow `elliptic_batches` in batches of 8192.
     """
     _require_even(n)
     if not (-1.0 < tau < 1.0):
         raise DomainError(
             "determinant identity is validated on the elliptic-density route, "
             f"which needs |tau| < 1 (got {tau})")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    p_small = EllipticParams(n - 1, tau)
-    shift = lam * math.sqrt(n) * np.eye(n - 1)
+    if trials < 2:
+        raise ParameterError("trials must be >= 2 for a standard error")
+    # the factor exp(N lam^2/(2(1+tau))) is folded into the density, whose
+    # Gaussian weight it cancels exactly; a lam sqrt(N) that overflows is
+    # rejected here, before any draw
+    x = lam * math.sqrt(n)
+    if not math.isfinite(x):
+        raise ParameterError(f"lam sqrt(N) must be finite, got lam = {lam}")
+    rhs_log = (math.log(2.0) + _log_double_factorial_even(n - 2)
+               + 0.5 * math.log1p(tau)
+               + float(log_rho_real_exact(EllipticParams(n, tau), x,
+                                          weighted=False)))
 
+    shift = x * np.eye(n - 1)
     logs = np.concatenate([
         np.linalg.slogdet(mats - shift)[1]
-        for mats in elliptic_batches(p_small, trials, seed, chunk=8192)])
+        for mats in elliptic_batches(EllipticParams(n - 1, tau), trials, seed,
+                                     chunk=8192)])
     m = logs.max()
     scaled = np.exp(logs - m)
     mean_scaled = float(scaled.mean())
     se_scaled = float(scaled.std(ddof=1) / math.sqrt(trials))
+    if se_scaled == 0.0:
+        raise DomainError(
+            f"at lam = {lam} every draw gives the same |det| to rounding, so "
+            "the Monte Carlo has no spread and cannot test the identity")
     mc_log_mean = m + math.log(mean_scaled)
-
-    p_full = EllipticParams(n, tau)
-    rhs_log = (math.log(2.0) + _log_double_factorial_even(n - 2)
-               + 0.5 * math.log1p(tau)
-               + n * lam * lam / (2.0 * (1.0 + tau))
-               + float(log_rho_real_exact(p_full, lam * math.sqrt(n))))
     ratio = math.exp(mc_log_mean - rhs_log)
     stderr = math.exp(m - rhs_log) * se_scaled
     return DetIdentityReport(n=n, tau=tau, lam=lam, trials=trials,

@@ -287,6 +287,24 @@ class TestMainExitCodes:
         assert fragment in err["error"]["message"]
         assert not os.path.exists(tmp_path / "o")
 
+    def test_overflowing_b2_is_config_error(self, tmp_path, capsys):
+        # sigma passes the schema (finite) but its square overflows
+        path = write_config(tmp_path, {**SWEEP, "sigma_grid": [1e200]})
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert "b^2" in err["error"]["message"]
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_spreadless_det_identity_lambda_exit_code(self, tmp_path, capsys):
+        # at lam = 1e300 every draw gives the same |det|: no standard error
+        payload = {"kind": "det-identity", "n": 2, "tau": 0.999999,
+                   "trials": 100, "lambdas": [1e300]}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert "no spread" in err["error"]["message"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_nonpositive_t_max_is_config_error(self, tmp_path, capsys):
         payload = {"kind": "dynamics", "starts": 2, "t_max": -2,
                    "model": {"n": 4, "j1": 1.0, "j2": 1.0, "sigma": 1.0}}

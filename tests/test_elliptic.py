@@ -265,6 +265,24 @@ class TestExactDensity:
             lv = log_rho_real_exact(EllipticParams(8, 0.3), 1e6)
         assert np.isfinite(lv)
 
+    @pytest.mark.parametrize("n, tau", [(2, 0.999999), (8, -0.5), (20, 0.3)])
+    def test_unweighted_form(self, n, tau):
+        # log rho + x^2/(2(1+tau)), formed without the Gaussian factor: it
+        # agrees with the weighted form where that is accurate, and stays
+        # finite where x^2 overflows
+        p = EllipticParams(n, tau)
+        xs = np.array([0.0, 0.7, -2.5, 6.0])
+        assert_allclose(log_rho_real_exact(p, xs, weighted=False),
+                        log_rho_real_exact(p, xs) + xs * xs / (2 * (1 + tau)),
+                        rtol=1e-13, atol=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = log_rho_real_exact(p, np.array([1e200, -1e300]),
+                                     weighted=False)
+        # psi_hat_{N-1} keeps only its polynomial, ~ x^(N-1) / sqrt((N-1)!)
+        assert np.all(np.isfinite(big))
+        assert_allclose(big[1] - big[0], (n - 1) * math.log(1e100), rtol=1e-12)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     def test_non_finite_x_rejected(self, bad, shape):

@@ -1,19 +1,16 @@
-"""Field sampler, analytic covariances, Jacobians, serialization."""
+"""Field sampler, analytic covariances, Jacobians."""
 
-import json
 import math
-import struct
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sphere_equilibria.errors import ParameterError
-from sphere_equilibria.field_model import (_MAGIC, CovariancePair,
+from sphere_equilibria.field_model import (CovariancePair,
                                            JacobianCovariance, ModelParams,
                                            covariance_pair, field_covariance,
-                                           load_field, sample_field,
-                                           save_field)
+                                           sample_field)
 
 
 def sphere_point(n, seed):
@@ -295,50 +292,3 @@ class TestScalingAndIsotropy:
         assert abs(a.mean() - b.mean()) < 4 * se
         var_se = math.sqrt(2.0 / (m - 1)) * max(a.var(), b.var())
         assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4 * var_se
-
-
-class TestSerialization:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        p = ModelParams(n=4, j1=1.0, j2=0.6, alpha1=0.3, alpha2=0.2, sigma=0.5)
-        inst = sample_field(p, 99)
-        path = tmp_path / "field.bin"
-        save_field(inst, path)
-        back = load_field(path)
-        assert back == inst
-        x = sphere_point(4, 0)
-        assert_array_equal(back.eval_field(x), inst.eval_field(x))
-        assert_array_equal(back.eval_jacobian(x), inst.eval_jacobian(x))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a container")
-        with pytest.raises(ParameterError):
-            load_field(path)
-
-    @pytest.mark.parametrize("damage", [
-        "unknown-param", "missing-n", "missing-seed", "missing-arrays",
-        "header-not-json", "cut-in-length"])
-    def test_malformed_container_rejected(self, tmp_path, damage):
-        path = tmp_path / "field.bin"
-        save_field(sample_field(ModelParams(n=3, j1=1.0, j2=0.5), 5), path)
-        data = path.read_bytes()
-        m = len(_MAGIC)
-        (hlen,) = struct.unpack("<Q", data[m:m + 8])
-        header = json.loads(data[m + 8:m + 8 + hlen])
-        edits = {"unknown-param": lambda h: h["params"].update(colour=1),
-                 "missing-n": lambda h: h["params"].pop("n"),
-                 "missing-seed": lambda h: h.pop("seed"),
-                 "missing-arrays": lambda h: h.pop("arrays")}
-        if damage == "cut-in-length":
-            data = data[:m + 4]
-        else:
-            if damage == "header-not-json":
-                blob = b"{not json"
-            else:
-                edits[damage](header)
-                blob = json.dumps(header).encode()
-            data = (data[:m] + struct.pack("<Q", len(blob)) + blob
-                    + data[m + 8 + hlen:])
-        path.write_bytes(data)
-        with pytest.raises(ParameterError):
-            load_field(path)

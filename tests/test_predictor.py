@@ -57,6 +57,11 @@ class TestDerivedParams:
         with pytest.raises(DomainError, match="b\\^2 \\+ tau"):
             DerivedParams.from_values(1.0, 2.0, -1.0, 0.0)
 
+    def test_overflowing_b2_rejected(self):
+        # sigma is finite but sigma^2 is not
+        with pytest.raises(ParameterError, match="b\\^2"):
+            DerivedParams.from_values(1.0, 2.0, 0.0, 1e200)
+
     def test_band_validation(self):
         with pytest.raises(ParameterError):
             DerivedParams.from_values(1.0, 2.0, 2.5, 0.0)
@@ -164,6 +169,30 @@ class TestDetIdentity:
     def test_gradient_route_rejected(self):
         with pytest.raises(DomainError):
             validate_det_identity(1.0, 4, 0.0, 100, seed=0)
+
+    @pytest.mark.parametrize("lam", [1e8, 1e12, -1e12])
+    def test_large_lambda_gives_a_finite_ratio(self, lam):
+        # far outside the bulk |det(X - lam sqrt N)| ~ |lam sqrt N|^(N-1) for
+        # every draw, so the ratio tends to 1 while the Gaussian factors of
+        # the reference value, exp(+-N lam^2/(2(1+tau))), must cancel exactly
+        rep = validate_det_identity(0.999999, 2, lam, 100, seed=0)
+        assert math.isfinite(rep.rhs_log) and math.isfinite(rep.z)
+        assert abs(rep.ratio - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("lam", [1e150, 1e300, -1e300])
+    def test_spreadless_lambda_rejected(self, lam):
+        # every draw gives the same |det| to rounding: no standard error, so
+        # no z
+        with pytest.raises(DomainError, match="no spread"):
+            validate_det_identity(0.999999, 2, lam, 100, seed=0)
+
+    def test_single_trial_rejected(self):
+        with pytest.raises(ParameterError, match="trials"):
+            validate_det_identity(0.5, 4, 0.0, 1, seed=0)
+
+    def test_overflowing_lambda_rejected(self):
+        with pytest.raises(ParameterError, match="finite"):
+            validate_det_identity(0.5, 4, 1.7e308, 100, seed=0)
 
 
 class TestFixedAsymptote:

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sphere_equilibria import cli, search
+from sphere_equilibria._rng import derive_seed
 from sphere_equilibria.elliptic import real_eigenvalues
 from sphere_equilibria.errors import DomainError, NumericalError, ParameterError
 from sphere_equilibria.field_model import ModelParams, sample_field
@@ -215,6 +216,21 @@ class TestPinnedOutputs:
                 h.update(pt.tangent_spectrum.tobytes())
         assert h.hexdigest() == ("021834a19223cf7ff0ce09023ddbe68e"
                                  "73e8358303ffbf0804aaa7aadbb40915")
+
+    def test_halving_cap_drops_one_converging_start(self):
+        # criterion 04's mc seed 903, instance 7, as `mc_mean_count` solves
+        # it: one start reaches the second root (by lam) only through a step
+        # of 2^-35, below the halving cap, so it stalls out; the roots stay
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2,
+                        sigma=1.5588457268119897)
+        assert default_n_starts(p) == 788
+        inst = sample_field(p, derive_seed(903, "instance-7"))
+        rep = find_equilibria(inst, SolverOptions(
+            n_starts=788, seed=derive_seed(903, "starts-7")))
+        assert rep.n_found == 4
+        assert [pt.basin_hits for pt in rep.points] == [107, 62, 80, 61]
+        assert rep.n_converged_starts == 310
+        assert rep.saturated
 
     def test_three_halvings_small_budget(self, monkeypatch):
         # recorded before the constraint screen of the line search: with
