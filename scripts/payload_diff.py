@@ -1,0 +1,124 @@
+"""Compare the CLI payload bytes of two checkouts.
+
+    python3 scripts/payload_diff.py PARENT_DIR CHANGE_DIR
+
+Runs one small fixed config of each of the six experiment kinds, then the
+configs of the three benchmark workloads as `perfbench/workloads.experiments`
+builds them at the default workload seed (the CLI seed of the first untraced
+pass), through each checkout's own `src/`.  Each config runs in a fresh child
+with BLAS pinned to one thread, the two checkouts concurrently.
+
+Every artifact but `manifest.json` (timings, versions) is compared byte for
+byte.  The script prints each artifact that differs or exists on one side
+only, then a summary line; the exit status is 0 when nothing differs and 1
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PIN = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS")}
+MODEL4 = {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3, "alpha2": 0.2,
+          "sigma": 1.0}
+# name -> (config, CLI master seed)
+SMALL = {
+    "predict-sweep": ({"kind": "predict-sweep",
+                       "model": {"j1": 1.0, "j2": 1.0, "alpha1": 0.3,
+                                 "alpha2": 0.2},
+                       "sigma_grid": [0.0, 1.0, 2.0], "n_list": [4, 100]}, 7),
+    "mc-count": ({"kind": "mc-count", "model": MODEL4, "instances": 4,
+                  "lambda_bins": 6}, 7),
+    "spectra-validate": ({"kind": "spectra-validate", "n": 6, "tau": 0.0,
+                          "trials": 5000, "bins": 8}, 7),
+    "det-identity": ({"kind": "det-identity", "n": 4, "tau": 0.5,
+                      "lambdas": [0.0, 1.0], "trials": 2000}, 7),
+    "dynamics": ({"kind": "dynamics", "model": MODEL4, "starts": 20,
+                  "t_max": 3.0}, 7),
+    "transition-curve": ({"kind": "transition-curve",
+                          "model": {"j1": 1.0, "j2": 1.0, "alpha1": 0.3,
+                                    "alpha2": 0.2},
+                          "n": 4, "grid_points": 3, "mc_instances": 2}, 7),
+}
+
+
+def cases() -> dict:
+    """Every config the comparison runs: the small ones, then the benchmark's."""
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+    sys.dont_write_bytecode = True  # leave the benchmark directory as it is
+    import workloads
+
+    out = dict(SMALL)
+    for name in workloads.WORKLOADS:
+        seed = workloads.pass_seed(name, workloads.DEFAULT_SEED, 0)
+        for i, cfg in enumerate(workloads.experiments(
+                name, workloads.DEFAULT_SEED, "full")):
+            out[f"{name}/{i}-{cfg['kind']}"] = (cfg, seed)
+    return out
+
+
+def start_child(root: str, cfg_path: str, seed: int, out: str
+                ) -> subprocess.Popen:
+    env = dict(os.environ, **PIN)
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(root), "src")
+    return subprocess.Popen(
+        [sys.executable, "-m", "sphere_equilibria.cli", "run", cfg_path,
+         "--seed", str(seed), "--out-dir", out], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+
+
+def payload(out: str) -> dict[str, bytes]:
+    """{artifact name: bytes} of a run directory, without the manifest."""
+    names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    result = {}
+    for name in names:
+        if name != "manifest.json":
+            with open(os.path.join(out, name), "rb") as fh:
+                result[name] = fh.read()
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    args = ap.parse_args(argv)
+
+    configs = cases()
+    n_artifacts = n_differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (name, (cfg, seed)) in enumerate(configs.items()):
+            cfg_path = os.path.join(tmp, f"{k}.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            outs = [os.path.join(tmp, side, str(k)) for side in "ab"]
+            children = [start_child(root, cfg_path, seed, out)
+                        for root, out in zip((args.parent, args.change), outs)]
+            logs = [child.communicate()[0] for child in children]
+            for child, log in zip(children, logs):
+                if child.returncode:
+                    print(f"{name}: a child exited {child.returncode}\n{log}",
+                          file=sys.stderr)
+                    return 2
+            a, b = (payload(out) for out in outs)
+            for art in sorted(set(a) | set(b)):
+                n_artifacts += 1
+                if a.get(art) != b.get(art):
+                    n_differ += 1
+                    side = ("" if art in a and art in b else
+                            " (parent only)" if art in a else " (change only)")
+                    print(f"{name}: {art} differs{side}")
+    print(f"{len(configs)} configs, {n_artifacts} artifacts compared, "
+          f"{n_differ} differ")
+    return 1 if n_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,14 +9,13 @@ trivialization transition.
 """
 
 from .dynamics import (DynamicsOptions, RunResult, Trajectory, integrate,
-                       lambda_of_state, run_to_equilibrium,
-                       run_to_equilibrium_batch)
-from .elliptic import (DensityProfile, EllipticParams, expected_real_count,
-                       hermite_tau, log_rho_real_exact, mean_real_count,
-                       real_eigenvalue_values, real_eigenvalues,
-                       rho_real_bulk, rho_real_edge, rho_real_exact,
-                       rho_real_outside, rho_real_weak_nongradient,
-                       sample_elliptic, sample_elliptic_batch)
+                       lambda_of_state, run_to_equilibrium_batch)
+from .elliptic import (EllipticParams, expected_real_count,
+                       log_rho_real_exact, mean_real_count,
+                       real_eigenvalue_histogram, real_eigenvalue_values,
+                       real_eigenvalues, rho_real_bulk, rho_real_edge,
+                       rho_real_exact, rho_real_outside,
+                       rho_real_weak_nongradient, sample_elliptic_batch)
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import (CovariancePair, FieldInstance, JacobianCovariance,
                           ModelParams, covariance_pair, field_covariance,
@@ -38,11 +37,11 @@ __all__ = [
     "ModelParams", "CovariancePair", "FieldInstance", "sample_field",
     "covariance_pair", "field_covariance", "JacobianCovariance",
     # elliptic ensemble
-    "EllipticParams", "DensityProfile", "sample_elliptic",
-    "sample_elliptic_batch", "real_eigenvalues", "real_eigenvalue_values",
-    "hermite_tau", "rho_real_exact", "log_rho_real_exact", "rho_real_bulk",
-    "rho_real_outside", "rho_real_edge", "rho_real_weak_nongradient",
-    "mean_real_count", "expected_real_count",
+    "EllipticParams", "sample_elliptic_batch", "real_eigenvalues",
+    "real_eigenvalue_values", "rho_real_exact", "log_rho_real_exact",
+    "rho_real_bulk", "rho_real_outside", "rho_real_edge",
+    "rho_real_weak_nongradient", "mean_real_count",
+    "real_eigenvalue_histogram", "expected_real_count",
     # predictor
     "DerivedParams", "CountPrediction", "FixedAsymptote", "DetIdentityReport",
     "derived_params", "mean_total_exact", "mean_in_interval",
@@ -53,7 +52,7 @@ __all__ = [
     "find_equilibria", "tangent_spectrum_at", "mc_mean_count",
     # dynamics
     "Trajectory", "DynamicsOptions", "RunResult", "lambda_of_state",
-    "integrate", "run_to_equilibrium", "run_to_equilibrium_batch",
+    "integrate", "run_to_equilibrium_batch",
     # errors
     "ParameterError", "DomainError", "NumericalError",
 ]

@@ -34,8 +34,10 @@ import numpy as np
 from . import __version__
 from ._rng import derive_seed, stream
 from .dynamics import DynamicsOptions, run_to_equilibrium_batch
-from .elliptic import (DensityProfile, EllipticParams, expected_counts_in_bins,
-                       expected_real_count, mean_real_count)
+from .elliptic import (EllipticParams, expected_counts_in_bins,
+                       expected_real_count, mean_real_count,
+                       real_eigenvalue_histogram, rho_real_exact,
+                       support_lambda_max)
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import ModelParams, covariance_pair, sample_field
 from .predictor import (_QUAD_REL_TOL, DerivedParams, derived_params,
@@ -409,22 +411,27 @@ def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
 def _run_spectra_validate(c: SpectraValidate, seed: int, threads: int,
                           strict: bool) -> dict:
     p = EllipticParams(c.n, c.tau)
-    profile = DensityProfile.monte_carlo(p, c.trials,
-                                         derive_seed(seed, "spectra-validate"),
-                                         bins=c.bins)
-    edges = np.asarray(profile.metadata["bin_edges"]) * math.sqrt(p.n)
-    expected = expected_counts_in_bins(p, edges)
-    width_x = np.diff(edges)
+    sqrt_n = math.sqrt(p.n)
+    lam_max = (1.0 + p.tau) + 6.0 / sqrt_n
+    lam_edges = np.linspace(-lam_max, lam_max, c.bins + 1)
+    mean, stderr = real_eigenvalue_histogram(
+        p, c.trials, derive_seed(seed, "spectra-validate"), lam_edges)
+    # the two bin widths round differently; each side keeps its own
+    width_mc = np.diff(lam_edges) * sqrt_n
+    x_edges = lam_edges * sqrt_n
+    expected = expected_counts_in_bins(p, x_edges) / np.diff(x_edges)
     rows = []
     zmax = 0.0
-    for i in range(c.bins):
-        obs = float(profile.values[i])
-        se = float(profile.stderr[i])
-        exp_density = float(expected[i] / width_x[i])
+    for lam, obs, se, exp_density in zip(
+            (0.5 * (lam_edges[:-1] + lam_edges[1:])).tolist(),
+            (mean / width_mc).tolist(), (stderr / width_mc).tolist(),
+            expected.tolist()):
         z = (obs - exp_density) / se if se > 0 else 0.0
         zmax = max(zmax, abs(z))
-        rows.append([float(profile.grid[i]), obs, se, exp_density, z])
-    exact = DensityProfile.exact(p)
+        rows.append([lam, obs, se, exp_density, z])
+    # the exact density on a 201-point Chebyshev grid over its support
+    grid = np.sort(support_lambda_max(p.n, p.tau)
+                   * np.cos(np.pi * np.arange(201) / 200))
 
     mc_mean, mc_se = mean_real_count(p, c.trials, derive_seed(seed, "count"))
     integral = expected_real_count(p)
@@ -433,8 +440,8 @@ def _run_spectra_validate(c: SpectraValidate, seed: int, threads: int,
         "density_check.csv": (["lambda", "mc_rho", "mc_stderr", "exact_rho",
                                "z"], rows),
         "profile_exact.csv": (["lambda", "rho", "method"],
-                              [[lam, rho, exact.method]
-                               for lam, rho in zip(exact.grid, exact.values)]),
+                              [[lam, rho, "exact-hermite"] for lam, rho in
+                               zip(grid, rho_real_exact(p, grid * sqrt_n))]),
         "summary.json": {"n": p.n, "tau": p.tau, "trials": c.trials,
                          "max_abs_bin_z": zmax,
                          "mc_mean_count": mc_mean, "mc_stderr": mc_se,

@@ -28,7 +28,6 @@ __all__ = [
     "lambda_of_state",
     "velocity",
     "integrate",
-    "run_to_equilibrium",
     "run_to_equilibrium_batch",
     "default_dt",
 ]
@@ -166,30 +165,21 @@ class RunResult:
     matched: int | None = None  # index into the report's `points`
 
 
-def run_to_equilibrium(inst: FieldInstance, x0: np.ndarray,
-                       opts: DynamicsOptions | None = None,
-                       report: CountReport | None = None) -> RunResult:
-    """Integrate until the velocity norm drops below `v_tol` or time runs out.
-
-    Convergence is detected on the velocity, not on state differences, to
-    avoid false positives on slowly drifting manifolds.  Non-relaxational
-    flows may cycle forever; that outcome is reported, not raised.  With a
-    `report`, a converged terminal state is matched against the enumerated
-    equilibria by the report's dedup radius: `matched` is the index of the
-    first point of `report.points` within that radius.
-    """
-    return run_to_equilibrium_batch(inst, np.asarray(x0)[None, :], opts,
-                                    report)[0]
-
-
 def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
                              opts: DynamicsOptions | None = None,
                              report: CountReport | None = None
                              ) -> list[RunResult]:
-    """Batched `run_to_equilibrium` over rows of x0s (shared time grid).
+    """Integrate each row of x0s (shared time grid) until its velocity norm
+    drops below `v_tol` or time runs out.
 
-    The velocity is checked every `_CHECK_EVERY` steps and at the last one;
-    rows that converged there leave the integrated batch.
+    Convergence is detected on the velocity, not on state differences, to
+    avoid false positives on slowly drifting manifolds.  Non-relaxational
+    flows may cycle forever; that outcome is reported, not raised.  The
+    velocity is checked every `_CHECK_EVERY` steps and at the last one; rows
+    that converged there leave the integrated batch.  With a `report`, a
+    converged terminal state is matched against the enumerated equilibria by
+    the report's dedup radius: `matched` is the index of the first point of
+    `report.points` within that radius.
     """
     opts = opts or DynamicsOptions()
     dt = opts.dt if opts.dt is not None else default_dt(inst)

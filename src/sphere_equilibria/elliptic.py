@@ -16,7 +16,7 @@ Asymptotic profiles are expressed in the rescaled variable ``lam = x/sqrt(N)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +26,10 @@ from .quadrature import log_quad
 
 __all__ = [
     "EllipticParams",
-    "DensityProfile",
-    "sample_elliptic",
     "sample_elliptic_batch",
     "elliptic_batches",
     "real_eigenvalues",
     "real_eigenvalue_values",
-    "hermite_tau",
     "rho_real_exact",
     "log_rho_real_exact",
     "rho_real_bulk",
@@ -40,6 +37,7 @@ __all__ = [
     "rho_real_edge",
     "rho_real_weak_nongradient",
     "mean_real_count",
+    "real_eigenvalue_histogram",
     "expected_real_count",
     "expected_counts_in_bins",
     "support_lambda_max",
@@ -96,11 +94,6 @@ def sample_elliptic_batch(p: EllipticParams, trials: int, seed: int,
     s = (g + gt) / np.sqrt(2.0)
     a = (g - gt) / np.sqrt(2.0)
     return np.sqrt((1.0 + p.tau) / 2.0) * s + np.sqrt((1.0 - p.tau) / 2.0) * a
-
-
-def sample_elliptic(p: EllipticParams, seed: int) -> np.ndarray:
-    """Single draw from the ensemble; deterministic in (p, seed)."""
-    return sample_elliptic_batch(p, 1, seed)[0]
 
 
 def elliptic_batches(p: EllipticParams, trials: int, seed: int,
@@ -167,24 +160,6 @@ def real_eigenvalue_values(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # rescaled Hermite polynomials
 # ---------------------------------------------------------------------------
-
-def hermite_tau(k: int, tau: float, x):
-    """Rescaled Hermite polynomial h_k by the three-term recurrence.
-
-    ``h_{k+1} = x h_k - tau k h_{k-1}`` with h_0 = 1, h_1 = x.  For tau = 1
-    these are the probabilists' Hermite polynomials, for tau = 0 plain powers
-    x**k.  Unnormalized: overflows for large k |x|; the density evaluator
-    uses an internal scaled variant instead.
-    """
-    if k < 0 or int(k) != k:
-        raise ParameterError(f"k must be a nonnegative integer, got {k}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)
-    h_cur = np.ones_like(x)
-    for j in range(k):
-        h_prev, h_cur = h_cur, x * h_cur - tau * j * h_prev
-    return h_cur if h_cur.ndim else float(h_cur)
-
 
 def _psi_hat_scan(n: int, tau: float, xs: np.ndarray, weighted: bool = True
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -428,6 +403,31 @@ def mean_real_count(p: EllipticParams, trials: int,
     return total / trials, stderr
 
 
+def real_eigenvalue_histogram(p: EllipticParams, trials: int, seed: int,
+                              lam_edges: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean number of real eigenvalues per draw in each lam = x/sqrt(N) bin
+    of `lam_edges`, and its standard error.  Draws follow `elliptic_batches`.
+    """
+    bins = len(lam_edges) - 1
+    sums = np.zeros(bins)
+    sqsums = np.zeros(bins)
+    # map() releases each batch before the next one is drawn
+    for counts, vals in map(real_eigenvalue_values,
+                            elliptic_batches(p, trials, seed)):
+        lam = vals / math.sqrt(p.n)
+        idx = np.searchsorted(lam_edges, lam, side="right") - 1
+        ok = (idx >= 0) & (idx < bins)
+        per_draw = np.zeros((len(counts), bins))
+        ev_draw = np.repeat(np.arange(len(counts)), counts)
+        np.add.at(per_draw, (ev_draw[ok], idx[ok]), 1.0)
+        sums += per_draw.sum(axis=0)
+        sqsums += (per_draw ** 2).sum(axis=0)
+    mean = sums / trials
+    var = (sqsums / trials - mean ** 2) * trials / max(trials - 1, 1)
+    return mean, np.sqrt(var / trials)
+
+
 def expected_real_count(p: EllipticParams) -> float:
     """Integral of the exact density over the real line (even in x)."""
     p.require_exact_density()
@@ -449,83 +449,3 @@ def expected_counts_in_bins(p: EllipticParams, edges: np.ndarray) -> np.ndarray:
                        rel_tol=_DENSITY_REL_TOL, initial_panels=16)
         out[i] = res.value
     return out
-
-
-# ---------------------------------------------------------------------------
-# tabulated profiles
-# ---------------------------------------------------------------------------
-
-def _chebyshev_grid(lam_max: float, num: int) -> np.ndarray:
-    j = np.arange(num)
-    return np.sort(lam_max * np.cos(np.pi * j / (num - 1)))
-
-
-@dataclass
-class DensityProfile:
-    """Tabulated real-eigenvalue density with evaluation metadata.
-
-    `grid` holds rescaled positions lam = x / sqrt(N); `values` the density
-    rho(lam sqrt(N)).
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    method: str  # exact-hermite | monte-carlo
-    n: int
-    tau: float
-    seed: int | None = None
-    stderr: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
-
-    _METHODS = ("exact-hermite", "monte-carlo")
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.method not in self._METHODS:
-            raise ParameterError(f"unknown method {self.method!r}")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ParameterError("grid must be strictly ascending")
-        if np.any(self.values < 0):
-            raise ParameterError("density values must be nonnegative")
-
-    @classmethod
-    def exact(cls, p: EllipticParams) -> "DensityProfile":
-        """Exact density on a 201-point Chebyshev grid over the support."""
-        grid = _chebyshev_grid(support_lambda_max(p.n, p.tau), 201)
-        values = rho_real_exact(p, grid * math.sqrt(p.n))
-        return cls(grid=grid, values=values, method="exact-hermite",
-                   n=p.n, tau=p.tau)
-
-    @classmethod
-    def monte_carlo(cls, p: EllipticParams, trials: int, seed: int,
-                    bins: int = 25) -> "DensityProfile":
-        """Histogram estimate of the density on `bins` equal lam-bins.
-
-        Draws follow `elliptic_batches`.
-        """
-        lam_max = (1.0 + p.tau) + 6.0 / math.sqrt(p.n)
-        edges = np.linspace(-lam_max, lam_max, bins + 1)
-        sums = np.zeros(bins)
-        sqsums = np.zeros(bins)
-        # map() releases each batch before the next one is drawn
-        for counts, vals in map(real_eigenvalue_values,
-                                elliptic_batches(p, trials, seed)):
-            lam = vals / math.sqrt(p.n)
-            idx = np.searchsorted(edges, lam, side="right") - 1
-            ok = (idx >= 0) & (idx < bins)
-            per_draw = np.zeros((len(counts), bins))
-            ev_draw = np.repeat(np.arange(len(counts)), counts)
-            np.add.at(per_draw, (ev_draw[ok], idx[ok]), 1.0)
-            sums += per_draw.sum(axis=0)
-            sqsums += (per_draw ** 2).sum(axis=0)
-        mean = sums / trials
-        var = (sqsums / trials - mean ** 2) * trials / max(trials - 1, 1)
-        stderr_counts = np.sqrt(var / trials)
-        width_x = np.diff(edges) * math.sqrt(p.n)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return cls(grid=centers, values=mean / width_x, method="monte-carlo",
-                   n=p.n, tau=p.tau, seed=seed,
-                   stderr=stderr_counts / width_x,
-                   metadata={"bins": bins, "trials": trials,
-                             "bin_edges": edges.tolist()})

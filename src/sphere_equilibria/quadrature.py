@@ -88,8 +88,8 @@ def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12,
     worst = 0.0
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + hi)
-        left = _panel_log_integrals(logf, lo, mid)
-        right = _panel_log_integrals(logf, mid, hi)
+        left, right = np.split(_panel_log_integrals(
+            logf, np.concatenate([lo, mid]), np.concatenate([mid, hi])), 2)
         children = np.logaddexp(left, right)
 
         total = _logsumexp(np.concatenate([np.array(accepted_logs), children]))

@@ -12,9 +12,10 @@ import pytest
 
 from sphere_equilibria.dynamics import DynamicsOptions, integrate, \
     run_to_equilibrium_batch
-from sphere_equilibria.elliptic import (DensityProfile, EllipticParams,
+from sphere_equilibria.elliptic import (EllipticParams,
                                         expected_counts_in_bins,
                                         expected_real_count, mean_real_count,
+                                        real_eigenvalue_histogram,
                                         real_eigenvalues, rho_real_edge,
                                         rho_real_exact)
 from sphere_equilibria.errors import DomainError
@@ -88,11 +89,12 @@ def test_criterion_03_density_validation():
         for tau in (-0.5, 0.0, 0.5):
             p = EllipticParams(n, tau)
             seed = 700 + n * 10 + int((tau + 1) * 4)
-            prof = DensityProfile.monte_carlo(p, 100_000, seed=seed, bins=12)
-            edges = np.asarray(prof.metadata["bin_edges"]) * math.sqrt(n)
-            expected = expected_counts_in_bins(p, edges) / np.diff(edges)
-            z = np.abs(prof.values - expected) / np.where(
-                prof.stderr > 0, prof.stderr, np.inf)
+            lam_max = (1.0 + tau) + 6.0 / math.sqrt(n)
+            lam_edges = np.linspace(-lam_max, lam_max, 13)
+            mean, stderr = real_eigenvalue_histogram(p, 100_000, seed,
+                                                     lam_edges)
+            expected = expected_counts_in_bins(p, lam_edges * math.sqrt(n))
+            z = np.abs(mean - expected) / np.where(stderr > 0, stderr, np.inf)
             mc_mean, mc_se = mean_real_count(p, 100_000, seed + 1)
             zc = abs(mc_mean - expected_real_count(p)) / mc_se
             details.append(f"N={n} tau={tau:+.1f}: max bin |z|={z.max():.2f}, "

@@ -1,6 +1,7 @@
 """Config parsing, experiment runner, artifacts, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -263,6 +264,30 @@ class TestRunner:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lambda", "rho", "method"]
         assert len(rows) == 202  # header + the 201-point Chebyshev grid
+
+    # SHA-256 over every artifact but the manifest, recorded before the
+    # density profile container was replaced by a histogram function
+    PINNED_PAYLOADS = {
+        "spectra-validate": ({"kind": "spectra-validate", "n": 4, "tau": -0.5,
+                              "trials": 3000, "bins": 5, "seed": 5},
+                             "1c063a65965bf5c891eea7ce36035d18"
+                             "2d62b84a46ca83c05a3b4697248b7c9d"),
+        "predict-sweep": ({**MINIMAL_SWEEP, "sigma_grid": [0.5, 2.0],
+                           "n_list": [100]},
+                          "313ee89c17ae46e885b377ca3eb969b7"
+                          "db7b73611e2fc8c332110178e6c47556"),
+    }
+
+    @pytest.mark.parametrize("kind", PINNED_PAYLOADS)
+    def test_pinned_payload_bytes(self, tmp_path, kind):
+        payload, digest = self.PINNED_PAYLOADS[kind]
+        cfg = parse_config(write_config(tmp_path, payload))
+        assert run(cfg, out_dir=str(tmp_path / "out"))[0] == 0
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(tmp_path / "out")):
+            if name != "manifest.json":
+                h.update(name.encode() + (tmp_path / "out" / name).read_bytes())
+        assert h.hexdigest() == digest
 
 
 class TestMainExitCodes:

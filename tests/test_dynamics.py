@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from sphere_equilibria.dynamics import (DynamicsOptions, default_dt,
                                         integrate, lambda_of_state,
-                                        run_to_equilibrium,
                                         run_to_equilibrium_batch, velocity)
 from sphere_equilibria.errors import (DomainError, NumericalError,
                                       ParameterError)
@@ -126,23 +125,24 @@ class TestRunToEquilibrium:
         inst = sample_field(p, 8)
         report = find_equilibria(inst, SolverOptions(n_starts=4000, seed=2))
         for s in range(10):
-            res = run_to_equilibrium(inst, sphere_point(4, 50 + s),
-                                     DynamicsOptions(), report)
+            (res,) = run_to_equilibrium_batch(
+                inst, sphere_point(4, 50 + s)[None], DynamicsOptions(), report)
             assert res.converged and res.matched is not None
 
     def test_pure_rotation_reports_no_convergence(self):
         # antisymmetric linear field: norm-preserving rotation, lambda = 0
         p = ModelParams(n=4, j1=1.0, j2=0.0, alpha1=-1.0, sigma=0.0)
         inst = sample_field(p, 3)
-        res = run_to_equilibrium(inst, sphere_point(4, 1),
-                                 DynamicsOptions(t_max=20.0))
+        (res,) = run_to_equilibrium_batch(inst, sphere_point(4, 1)[None],
+                                          DynamicsOptions(t_max=20.0))
         assert not res.converged
         assert abs(res.lam) < 1e-10
         assert res.v_norm > 1e-3
 
     def test_terminal_residual_small_when_converged(self):
         inst = field_free_instance()
-        res = run_to_equilibrium(inst, sphere_point(4, 4), DynamicsOptions())
+        (res,) = run_to_equilibrium_batch(inst, sphere_point(4, 4)[None],
+                                          DynamicsOptions())
         assert res.converged
         assert np.linalg.norm(velocity(inst, res.x)) <= 1e-6
 
@@ -161,9 +161,9 @@ class TestRunToEquilibrium:
         # row can pass a nonpositive v_tol
         p = ModelParams(n=4, j1=1, j2=1, sigma=1.0)
         inst = sample_field(p, 1)
-        x0 = np.array([2.0, 0.0, 0.0, 0.0])
+        x0 = np.array([[2.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ParameterError, match="positive"):
-            run_to_equilibrium(inst, x0, DynamicsOptions(**opts))
+            run_to_equilibrium_batch(inst, x0, DynamicsOptions(**opts))
 
 
 # run_to_equilibrium_batch on 12 starts at sigma_c, recorded before the RK4

@@ -18,20 +18,55 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from sphere_equilibria import cli
-from sphere_equilibria.elliptic import (DensityProfile, EllipticParams,
-                                        _erf, _erfc, _psi_hat_scan,
+from sphere_equilibria.elliptic import (EllipticParams, _erf, _erfc,
+                                        _psi_hat_scan,
                                         expected_counts_in_bins,
-                                        expected_real_count, hermite_tau,
+                                        expected_real_count,
                                         log_rho_real_exact, mean_real_count,
+                                        real_eigenvalue_histogram,
                                         real_eigenvalue_values,
                                         real_eigenvalues, rho_real_bulk,
                                         rho_real_edge, rho_real_exact,
                                         rho_real_outside,
                                         rho_real_weak_nongradient,
-                                        sample_elliptic,
                                         sample_elliptic_batch,
                                         support_lambda_max)
 from sphere_equilibria.errors import DomainError, ParameterError
+
+
+def hermite_tau(k, tau, x):
+    """Rescaled Hermite polynomial h_k by the three-term recurrence.
+
+    ``h_{k+1} = x h_k - tau k h_{k-1}`` with h_0 = 1, h_1 = x.  For tau = 1
+    these are the probabilists' Hermite polynomials, for tau = 0 plain powers
+    x**k.  Unnormalized, so it overflows for large k |x|: a reference for the
+    package's scaled scan, not a replacement.
+    """
+    x = np.asarray(x, dtype=float)
+    h_prev = np.zeros_like(x)
+    h_cur = np.ones_like(x)
+    for j in range(k):
+        h_prev, h_cur = h_cur, x * h_cur - tau * j * h_prev
+    return h_cur if h_cur.ndim else float(h_cur)
+
+
+def one_draw(p, seed):
+    return sample_elliptic_batch(p, 1, seed)[0]
+
+
+def exact_profile(tmp_path, n, tau):
+    """(lambda grid, density, methods) of a spectra-validate run's
+    profile_exact.csv."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "spectra-validate", "n": n,
+                                "tau": tau, "trials": 200, "bins": 5}))
+    cli.run(cli.parse_config(str(path)), out_dir=str(tmp_path / "out"))
+    with open(tmp_path / "out" / "profile_exact.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lambda", "rho", "method"]
+    return (np.array([float(r[0]) for r in rows[1:]]),
+            np.array([float(r[1]) for r in rows[1:]]),
+            {r[2] for r in rows[1:]})
 
 
 def rho_n2_closed_form(tau, x):
@@ -110,12 +145,12 @@ def antiderivative_mpmath(n, tau, xs, dps=30, width=4.0):
 class TestSampling:
     def test_tau_one_is_symmetric(self):
         for seed in range(3):
-            x = sample_elliptic(EllipticParams(5, 1.0), seed)
+            x = one_draw(EllipticParams(5, 1.0), seed)
             assert_allclose(x, x.T, rtol=0, atol=0)
 
     def test_deterministic(self):
         p = EllipticParams(4, 0.3)
-        assert_allclose(sample_elliptic(p, 9), sample_elliptic(p, 9))
+        assert_allclose(one_draw(p, 9), one_draw(p, 9))
 
     @pytest.mark.parametrize("tau,want_cross", [(0.0, 0.0), (0.5, 0.5)])
     def test_entry_covariances(self, tau, want_cross):
@@ -141,7 +176,7 @@ class TestRealEigenvalues:
         assert_allclose(real_eigenvalues(np.diag([2.0, 1.0])), [1.0, 2.0])
 
     def test_symmetric_all_real(self):
-        x = sample_elliptic(EllipticParams(6, 1.0), 4)
+        x = one_draw(EllipticParams(6, 1.0), 4)
         assert len(real_eigenvalues(x)) == 6
 
     def test_antisymmetric_none(self):
@@ -437,28 +472,24 @@ class TestMonteCarloCounting:
 
 
 class TestDensityProfile:
-    def test_exact_profile_properties(self):
-        prof = DensityProfile.exact(EllipticParams(8, 0.5))
-        assert np.all(np.diff(prof.grid) > 0)
-        assert np.all(prof.values >= 0)
+    def test_exact_profile_properties(self, tmp_path):
+        grid, values, methods = exact_profile(tmp_path, 8, 0.5)
+        assert np.all(np.diff(grid) > 0)
+        assert np.all(values >= 0)
         # even grid, even values
-        assert_allclose(prof.values, prof.values[::-1], rtol=1e-9, atol=1e-300)
-        assert prof.method == "exact-hermite"
+        assert_allclose(values, values[::-1], rtol=1e-9, atol=1e-300)
+        assert methods == {"exact-hermite"}
 
     def test_exports(self, tmp_path):
-        # the experiment runner writes the exact profile at full precision
-        prof = DensityProfile.exact(EllipticParams(4, 0.0))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"kind": "spectra-validate", "n": 4,
-                                    "tau": 0.0, "trials": 200, "bins": 5}))
-        cli.run(cli.parse_config(str(path)), out_dir=str(tmp_path / "out"))
-        with open(tmp_path / "out" / "profile_exact.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["lambda", "rho", "method"]
-        assert len(rows) == len(prof.grid) + 1
-        assert {r[2] for r in rows[1:]} == {"exact-hermite"}
-        assert np.array_equal([float(r[0]) for r in rows[1:]], prof.grid)
-        assert np.array_equal([float(r[1]) for r in rows[1:]], prof.values)
+        # the experiment runner writes the exact density at full precision on
+        # the 201 Chebyshev nodes of the support
+        p = EllipticParams(4, 0.0)
+        grid, values, methods = exact_profile(tmp_path, p.n, p.tau)
+        nodes = np.sort(support_lambda_max(p.n, p.tau)
+                        * np.cos(np.pi * np.arange(201) / 200))
+        assert methods == {"exact-hermite"}
+        assert np.array_equal(grid, nodes)
+        assert np.array_equal(values, rho_real_exact(p, nodes * math.sqrt(p.n)))
 
     def test_support_cutoff_certifies_negligible_tail(self):
         n, tau = 8, 0.5
@@ -468,9 +499,19 @@ class TestDensityProfile:
 
     def test_monte_carlo_profile_matches_exact(self):
         p = EllipticParams(4, -0.5)
-        prof = DensityProfile.monte_carlo(p, 30_000, seed=17, bins=11)
-        edges = np.asarray(prof.metadata["bin_edges"]) * math.sqrt(p.n)
-        expected = expected_counts_in_bins(p, edges) / np.diff(edges)
-        z = np.abs(prof.values - expected) / np.where(prof.stderr > 0,
-                                                      prof.stderr, np.inf)
+        lam_max = (1.0 + p.tau) + 6.0 / math.sqrt(p.n)
+        lam_edges = np.linspace(-lam_max, lam_max, 12)
+        mean, stderr = real_eigenvalue_histogram(p, 30_000, 17, lam_edges)
+        expected = expected_counts_in_bins(p, lam_edges * math.sqrt(p.n))
+        z = np.abs(mean - expected) / np.where(stderr > 0, stderr, np.inf)
         assert z.max() < 4.0
+
+    def test_histogram_sums_to_count(self):
+        # same draws as mean_real_count; bins wide enough to hold every
+        # eigenvalue, so the bin means add up to the mean count
+        p = EllipticParams(6, 0.3)
+        mean, stderr = real_eigenvalue_histogram(p, 5000, 4,
+                                                 np.array([-50.0, 0.0, 50.0]))
+        assert mean.sum() == pytest.approx(mean_real_count(p, 5000, 4)[0],
+                                           rel=1e-14)
+        assert np.all(stderr > 0)

@@ -35,3 +35,7 @@ def test_one_public_name_per_job():
     assert not hasattr(FixedAsymptote, "value")
     assert "interval" not in {f.name for f in fields(CountPrediction)}
     assert "status" not in {f.name for f in fields(RunResult)}
+    # replaced by `real_eigenvalue_histogram`, batch calls and test helpers
+    for name in ("DensityProfile", "sample_elliptic", "hermite_tau",
+                 "run_to_equilibrium"):
+        assert not any(hasattr(m, name) for m in MODULES), name
