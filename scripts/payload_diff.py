@@ -34,6 +34,13 @@ SMALL = {
                        "model": {"j1": 1.0, "j2": 1.0, "alpha1": 0.3,
                                  "alpha2": 0.2},
                        "sigma_grid": [0.0, 1.0, 2.0], "n_list": [4, 100]}, 7),
+    # sigma_c = 1 exactly: two sigma below it, sigma_c itself (b^2 = 1, B = 0)
+    # and one above, at the smallest and a large N
+    "predict-sweep-sigma-c": ({"kind": "predict-sweep",
+                               "model": {"phi1_1": 2.0, "dphi1_1": 3.0,
+                                         "phi2_1": 1.0},
+                               "sigma_grid": [0.3, 0.7, 1.0, 1.6],
+                               "n_list": [2, 400]}, 7),
     "mc-count": ({"kind": "mc-count", "model": MODEL4, "instances": 4,
                   "lambda_bins": 6}, 7),
     "spectra-validate": ({"kind": "spectra-validate", "n": 6, "tau": 0.0,

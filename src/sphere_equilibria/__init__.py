@@ -23,7 +23,8 @@ from .field_model import (CovariancePair, FieldInstance, JacobianCovariance,
 from .predictor import (CountPrediction, DerivedParams, DetIdentityReport,
                         FixedAsymptote, asympt_fixed, crossover_gamma,
                         crossover_kappa, derived_params, mean_in_interval,
-                        mean_total_exact, predict_asymptotic,
+                        mean_in_intervals, mean_total_exact,
+                        mean_totals_exact, predict_asymptotic,
                         validate_det_identity, weak_nongradient)
 from .search import (CountReport, EquilibriumPoint, MCCountResult,
                      SolverOptions, find_equilibria, mc_mean_count,
@@ -44,7 +45,8 @@ __all__ = [
     "real_eigenvalue_histogram", "expected_real_count",
     # predictor
     "DerivedParams", "CountPrediction", "FixedAsymptote", "DetIdentityReport",
-    "derived_params", "mean_total_exact", "mean_in_interval",
+    "derived_params", "mean_total_exact", "mean_totals_exact",
+    "mean_in_interval", "mean_in_intervals",
     "validate_det_identity", "asympt_fixed", "crossover_gamma",
     "crossover_kappa", "weak_nongradient", "predict_asymptotic",
     # search

@@ -41,8 +41,9 @@ from .elliptic import (EllipticParams, expected_counts_in_bins,
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import ModelParams, covariance_pair, sample_field
 from .predictor import (_QUAD_REL_TOL, DerivedParams, derived_params,
-                        mean_in_interval, mean_total_exact,
-                        predict_asymptotic, validate_det_identity)
+                        mean_in_intervals, mean_total_exact,
+                        mean_totals_exact, predict_asymptotic,
+                        validate_det_identity)
 from .search import SolverOptions, find_equilibria, mc_mean_count
 
 
@@ -342,17 +343,22 @@ def write_json(path: str, payload: dict) -> None:
 # {file name: (header, rows) for a CSV or a dict for a JSON file}
 # ---------------------------------------------------------------------------
 
+def _exact_sweep(dps: list[DerivedParams], n: int) -> list:
+    """The exact count at each of `dps` (one tau), or None at a size or tau
+    the exact formula does not cover."""
+    try:
+        return mean_totals_exact(dps, n)
+    except DomainError:
+        return [None] * len(dps)
+
+
 def _run_predict_sweep(c: PredictSweep, seed: int, threads: int,
                        strict: bool) -> dict:
     rows = []
+    dps = [c.model.derived(sigma) for sigma in c.sigma_grid]
     for n in c.n_list:
-        for sigma in c.sigma_grid:
-            dp = c.model.derived(sigma)
-            preds = []
-            try:
-                preds.append(mean_total_exact(dp, n))
-            except DomainError:
-                pass
+        for sigma, dp, exact in zip(c.sigma_grid, dps, _exact_sweep(dps, n)):
+            preds = [] if exact is None else [exact]
             preds.append(predict_asymptotic(dp, n))
             for pr in preds:
                 rows.append([n, dp.tau, dp.b2, sigma, pr.regime,
@@ -377,15 +383,17 @@ def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
                            seed=derive_seed(seed, "mc-count"),
                            lambda_edges=edges, strict=strict, threads=threads)
 
+    bins = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    expected = None if pred is None else mean_in_intervals(dp, c.model.n, bins)
     hist_rows = []
-    for i, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+    for i, (lo, hi) in enumerate(bins):
         mc_m = float(result.histogram_mean[i])
         mc_se = float(result.histogram_stderr[i])
         row = [lo, hi, mc_m, mc_se]
         if pred is None:
             row += ["", ""]
         else:
-            exp = mean_in_interval(dp, c.model.n, lo, hi).value
+            exp = expected[i].value
             row += [exp, (mc_m - exp) / mc_se if mc_se > 0 else float("nan")]
         hist_rows.append(row)
 
@@ -507,13 +515,9 @@ def _run_transition_curve(c: TransitionCurve, seed: int, threads: int,
     cov = covariance_pair(c.model)
     rows = []
     n_unsat = 0
-    for i, sigma in enumerate(c.sigma_grid):
-        dp = derived_params(cov, sigma)
-        exact = None
-        try:
-            exact = mean_total_exact(dp, c.n)
-        except DomainError:
-            pass
+    dps = [derived_params(cov, sigma) for sigma in c.sigma_grid]
+    for i, (sigma, dp, exact) in enumerate(zip(c.sigma_grid, dps,
+                                                _exact_sweep(dps, c.n))):
         asym = predict_asymptotic(dp, c.n)
         row = [sigma, dp.b2,
                "" if exact is None else exact.value,

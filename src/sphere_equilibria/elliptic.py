@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import stream
 from .errors import DomainError, NumericalError, ParameterError
-from .quadrature import log_quad
+from .quadrature import log_quad, log_quad_many
 
 __all__ = [
     "EllipticParams",
@@ -45,6 +45,8 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DENSITY_REL_TOL = 1e-10
+# points per `_psi_hat_scan` pass in `log_rho_real_exact`
+_SCAN_CHUNK = 6144
 # elementwise erf/erfc from the C library; otypes lets them take empty arrays
 _erf = np.vectorize(math.erf, otypes=[float])
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -91,9 +93,16 @@ def sample_elliptic_batch(p: EllipticParams, trials: int, seed: int,
     """
     g = stream(seed, stream_id).standard_normal((trials, p.n, p.n))
     gt = np.swapaxes(g, -1, -2)
-    s = (g + gt) / np.sqrt(2.0)
-    a = (g - gt) / np.sqrt(2.0)
-    return np.sqrt((1.0 + p.tau) / 2.0) * s + np.sqrt((1.0 - p.tau) / 2.0) * a
+    # in place, so at most three batch-sized arrays are alive at once
+    s = g + gt
+    s /= np.sqrt(2.0)
+    a = g - gt
+    del g, gt
+    a /= np.sqrt(2.0)
+    s *= np.sqrt((1.0 + p.tau) / 2.0)
+    a *= np.sqrt((1.0 - p.tau) / 2.0)
+    s += a
+    return s
 
 
 def elliptic_batches(p: EllipticParams, trials: int, seed: int,
@@ -203,16 +212,37 @@ def _psi_hat_scan(n: int, tau: float, xs: np.ndarray, weighted: bool = True
     part = np.zeros_like(xs)
     log_done = np.full_like(xs, -np.inf)
     anti = math.sqrt(0.5 * math.pi * c) * _erf(xs / math.sqrt(2.0 * c))
+    # exp(scale_log + gauss_log), recomputed only where scale_log changes
+    weight = np.exp(scale_log + gauss_log)
+    # the loop works in these buffers and allocates only rescaled indices
+    tmp = np.empty_like(xs)
+    m = np.empty_like(xs)
+    out_band = np.empty(xs.shape, bool)
+    tiny = np.empty(xs.shape, bool)
 
     for k in range(n - 1):
-        part += a_cur * a_cur
+        np.multiply(a_cur, a_cur, out=tmp)
+        part += tmp
         if k % 2:
-            psi_k = a_cur * np.exp(scale_log + gauss_log)
-            anti = math.sqrt(k / (k + 1.0)) * anti - c / math.sqrt(k + 1.0) * psi_k
-        a_prev, a_cur = a_cur, (xs * a_cur - tau * math.sqrt(k) * a_prev) / math.sqrt(k + 1.0)
+            np.multiply(a_cur, weight, out=tmp)  # psi_hat_k
+            anti *= math.sqrt(k / (k + 1.0))
+            tmp *= c / math.sqrt(k + 1.0)
+            anti -= tmp
+        # (x a_cur - tau sqrt(k) a_prev) / sqrt(k+1) overwrites a_prev, and
+        # the two names swap
+        a_prev *= tau * math.sqrt(k)
+        np.multiply(xs, a_cur, out=tmp)
+        np.subtract(tmp, a_prev, out=a_prev)
+        a_prev /= math.sqrt(k + 1.0)
+        a_prev, a_cur = a_cur, a_prev
         # rescale both carried values when they leave a safe magnitude band
-        m = np.maximum(np.abs(a_prev), np.abs(a_cur))
-        i = np.flatnonzero((m > 1e100) | ((m > 0.0) & (m < 1e-100)))
+        np.abs(a_prev, out=m)
+        np.maximum(m, np.abs(a_cur, out=tmp), out=m)
+        np.greater(m, 0.0, out=tiny)
+        tiny &= np.less(m, 1e-100, out=out_band)
+        np.greater(m, 1e100, out=out_band)
+        out_band |= tiny
+        i = np.flatnonzero(out_band)
         if i.size:
             fac = m[i]
             with np.errstate(divide="ignore"):
@@ -223,6 +253,7 @@ def _psi_hat_scan(n: int, tau: float, xs: np.ndarray, weighted: bool = True
             a_prev[i] /= fac
             a_cur[i] /= fac
             scale_log[i] += np.log(fac)
+            weight[i] = np.exp(scale_log[i] + gauss_log[i])
 
     with np.errstate(divide="ignore"):
         rho1_log = np.logaddexp(
@@ -254,8 +285,18 @@ def log_rho_real_exact(p: EllipticParams, x, *, weighted: bool = True
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise ParameterError("real-eigenvalue density needs a finite x")
-    n, tau = p.n, p.tau
+    flat = xs.ravel()
+    out = np.empty(flat.shape)
+    # every point is independent: chunks bound the scan's working arrays
+    for i in range(0, flat.size, _SCAN_CHUNK):
+        out[i:i + _SCAN_CHUNK] = _log_rho(p.n, p.tau, flat[i:i + _SCAN_CHUNK],
+                                          weighted)
+    out = out.reshape(xs.shape)
+    return out if np.ndim(x) else out[0]
 
+
+def _log_rho(n: int, tau: float, xs: np.ndarray, weighted: bool) -> np.ndarray:
+    """`log_rho_real_exact` at the finite points xs (1-d)."""
     rho1_log, sign_nm1, log_nm1, anti = _psi_hat_scan(n, tau, xs, weighted)
     rho1_log = rho1_log - math.log(_SQRT_2PI)
     coef_log = 0.5 * math.log(n - 1.0) - math.log(_SQRT_2PI) - math.log1p(tau)
@@ -272,8 +313,7 @@ def log_rho_real_exact(p: EllipticParams, x, *, weighted: bool = True
     # the exact density is nonnegative; clip values at the rounding floor
     combined = np.maximum(combined, 0.0)
     with np.errstate(divide="ignore"):
-        out = m + np.log(combined)
-    return out if np.ndim(x) else out[0]
+        return m + np.log(combined)
 
 
 def rho_real_exact(p: EllipticParams, x):
@@ -439,13 +479,11 @@ def expected_real_count(p: EllipticParams) -> float:
 
 
 def expected_counts_in_bins(p: EllipticParams, edges: np.ndarray) -> np.ndarray:
-    """Expected number of real eigenvalues in each [edges_i, edges_{i+1}) bin."""
+    """Expected number of real eigenvalues in each [edges_i, edges_{i+1}) bin,
+    all bins integrated in one lockstep quadrature."""
     p.require_exact_density()
-    edges = np.asarray(edges, dtype=float)
-    out = np.empty(len(edges) - 1)
-    for i in range(len(edges) - 1):
-        res = log_quad(lambda xs: log_rho_real_exact(p, xs),
-                       float(edges[i]), float(edges[i + 1]),
-                       rel_tol=_DENSITY_REL_TOL, initial_panels=16)
-        out[i] = res.value
-    return out
+    edges = np.asarray(edges, dtype=float).tolist()
+    res = log_quad_many(lambda xs, owner: log_rho_real_exact(p, xs),
+                        list(zip(edges[:-1], edges[1:])),
+                        rel_tol=_DENSITY_REL_TOL, initial_panels=16)
+    return np.array([r.value for r in res])

@@ -28,7 +28,7 @@ from .elliptic import (EllipticParams, elliptic_batches, log_rho_real_exact,
                        rho_real_edge, support_lambda_max)
 from .errors import DomainError, ParameterError
 from .field_model import CovariancePair
-from .quadrature import log_quad
+from .quadrature import LogQuadResult, log_quad, log_quad_many
 
 __all__ = [
     "DerivedParams",
@@ -37,7 +37,9 @@ __all__ = [
     "DetIdentityReport",
     "derived_params",
     "mean_total_exact",
+    "mean_totals_exact",
     "mean_in_interval",
+    "mean_in_intervals",
     "validate_det_identity",
     "asympt_fixed",
     "crossover_gamma",
@@ -149,26 +151,80 @@ def _integration_cap(dp: DerivedParams, n: int) -> float:
     return cap
 
 
+def _density_quads(p: EllipticParams, coefs: list[float],
+                   intervals: list[tuple[float, float]]) -> list[LogQuadResult]:
+    """log of int exp(coef_j lam^2) rho(lam sqrt N) dlam over each interval j,
+    in one lockstep quadrature that evaluates the density once per distinct
+    node of a round, so integrals with the same bounds (every sigma below
+    sigma_c) evaluate the panels they have in common once."""
+    sqrt_n = math.sqrt(p.n)
+    coefs = np.array(coefs, dtype=float)
+
+    def log_integrand(lams: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        nodes, where = np.unique(lams, return_inverse=True)
+        return (coefs[owner] * lams * lams
+                + log_rho_real_exact(p, nodes * sqrt_n)[where])
+
+    return log_quad_many(log_integrand, intervals, rel_tol=_QUAD_REL_TOL,
+                         initial_panels=96)
+
+
+def mean_totals_exact(dps: list[DerivedParams], n: int
+                      ) -> list[CountPrediction]:
+    """`mean_total_exact` at each of `dps`, which share one tau (a sweep over
+    sigma), from one lockstep quadrature."""
+    _require_even(n)
+    if len({dp.tau for dp in dps}) > 1:
+        raise ParameterError("a lockstep sweep needs one tau for all its points")
+    if not dps:
+        return []
+    p = EllipticParams(n, dps[0].tau)
+    p.require_exact_density()
+    quads = _density_quads(p, [-0.25 * n * dp.big_b for dp in dps],
+                           [(0.0, _integration_cap(dp, n)) for dp in dps])
+    out = []
+    for dp, quad in zip(dps, quads):
+        # the integrand is even in lambda
+        log_integral = math.log(2.0) + quad.log_value
+        log_pref = (math.log(2.0)
+                    + 0.5 * (math.log(n) + math.log1p(dp.tau)
+                             - math.log(dp.b2 + dp.tau))
+                    + (1.0 - n) * 0.5 * math.log(dp.b2))
+        out.append(CountPrediction.from_log(log_pref + log_integral, "exact", n))
+    return out
+
+
 def mean_total_exact(dp: DerivedParams, n: int) -> CountPrediction:
     """Exact mean number of equilibria at size N (N even, |tau| < 1)."""
+    return mean_totals_exact([dp], n)[0]
+
+
+def mean_in_intervals(dp: DerivedParams, n: int,
+                      intervals: list[tuple[float, float]]
+                      ) -> list[CountPrediction]:
+    """`mean_in_interval` over each (alpha, beta) of `intervals`, from one
+    lockstep quadrature."""
     _require_even(n)
+    for alpha, beta in intervals:
+        if not alpha <= beta:
+            raise ParameterError(f"need alpha <= beta, got ({alpha}, {beta})")
     p = EllipticParams(n, dp.tau)
     p.require_exact_density()
-    sqrt_n = math.sqrt(n)
-
-    def log_integrand(lams: np.ndarray) -> np.ndarray:
-        return (-0.25 * n * dp.big_b * lams * lams
-                + log_rho_real_exact(p, lams * sqrt_n))
-
     cap = _integration_cap(dp, n)
-    quad = log_quad(log_integrand, 0.0, cap, rel_tol=_QUAD_REL_TOL,
-                    initial_panels=96)
-    # the integrand is even in lambda
-    log_integral = math.log(2.0) + quad.log_value
-    log_pref = (math.log(2.0)
-                + 0.5 * (math.log(n) + math.log1p(dp.tau) - math.log(dp.b2 + dp.tau))
-                + (1.0 - n) * 0.5 * math.log(dp.b2))
-    return CountPrediction.from_log(log_pref + log_integral, "exact", n)
+    bounds = [(max(alpha / dp.lambda_scale, -cap) if np.isfinite(alpha) else -cap,
+               min(beta / dp.lambda_scale, cap) if np.isfinite(beta) else cap)
+              for alpha, beta in intervals]
+    half_gauss = 0.5 * n * (1.0 / (1.0 + dp.tau) - 1.0 / (dp.b2 + dp.tau))
+    quads = _density_quads(p, [half_gauss] * len(bounds), bounds)
+    log_dfact = _log_double_factorial_even(n - 2)
+    # interval-count prefactor sqrt(N)/(N-2)!! times the determinant-identity
+    # constant 2 (N-2)!! sqrt(1+tau); an empty interval gives log 0
+    log_pref = (0.5 * math.log(n) - log_dfact
+                - 0.5 * math.log(dp.b2 + dp.tau)
+                + (1.0 - n) * 0.5 * math.log(dp.b2)
+                + math.log(2.0) + 0.5 * math.log1p(dp.tau) + log_dfact)
+    return [CountPrediction.from_log(log_pref + quad.log_value, "exact", n)
+            for quad in quads]
 
 
 def mean_in_interval(dp: DerivedParams, n: int, alpha: float,
@@ -181,34 +237,7 @@ def mean_in_interval(dp: DerivedParams, n: int, alpha: float,
     `mean_total_exact` (the double factorials and Gaussian-weight exponents
     cancel numerically, not symbolically).
     """
-    _require_even(n)
-    if not alpha <= beta:
-        raise ParameterError(f"need alpha <= beta, got ({alpha}, {beta})")
-    p = EllipticParams(n, dp.tau)
-    p.require_exact_density()
-    sqrt_n = math.sqrt(n)
-
-    cap = _integration_cap(dp, n)
-    lo = max(alpha / dp.lambda_scale, -cap) if np.isfinite(alpha) else -cap
-    hi = min(beta / dp.lambda_scale, cap) if np.isfinite(beta) else cap
-    if hi <= lo:
-        return CountPrediction(0.0, -math.inf, "exact", n)
-
-    half_gauss = 0.5 * n * (1.0 / (1.0 + dp.tau) - 1.0 / (dp.b2 + dp.tau))
-
-    def log_integrand(lams: np.ndarray) -> np.ndarray:
-        return half_gauss * lams * lams + log_rho_real_exact(p, lams * sqrt_n)
-
-    quad = log_quad(log_integrand, lo, hi, rel_tol=_QUAD_REL_TOL,
-                    initial_panels=96)
-    log_dfact = _log_double_factorial_even(n - 2)
-    # interval-count prefactor sqrt(N)/(N-2)!! times the determinant-identity
-    # constant 2 (N-2)!! sqrt(1+tau)
-    log_pref = (0.5 * math.log(n) - log_dfact
-                - 0.5 * math.log(dp.b2 + dp.tau)
-                + (1.0 - n) * 0.5 * math.log(dp.b2)
-                + math.log(2.0) + 0.5 * math.log1p(dp.tau) + log_dfact)
-    return CountPrediction.from_log(log_pref + quad.log_value, "exact", n)
+    return mean_in_intervals(dp, n, [(alpha, beta)])[0]
 
 
 # ---------------------------------------------------------------------------

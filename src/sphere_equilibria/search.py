@@ -20,7 +20,6 @@ heuristic flags instances whose discovery curve was still rising.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -396,6 +395,8 @@ def mc_mean_count(params: ModelParams, n_instances: int,
         return find_equilibria(inst, replace(opts, seed=derive_seed(seed, f"starts-{i}")))
 
     if threads > 1:
+        # imported here: a serial run need not load the pool and its logging
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(solve_one, range(n_instances)))
     else:

@@ -276,6 +276,20 @@ class TestRunner:
                            "n_list": [100]},
                           "313ee89c17ae46e885b377ca3eb969b7"
                           "db7b73611e2fc8c332110178e6c47556"),
+        # recorded before the sigma sweep and the bins shared one quadrature:
+        # exact counts on both sides of sigma_c ~ 1.04, and one
+        # `mean_in_interval` per histogram bin
+        "transition-curve": ({"kind": "transition-curve",
+                              "model": MINIMAL_SWEEP["model"], "n": 10,
+                              "sigma_grid": [0.0, 0.6, 1.5, 2.5],
+                              "mc_instances": 0, "seed": 3},
+                             "76ff460d230f3b02c942e8eb131cc6d5"
+                             "7500a3b978848fef3918d0973ed5cf71"),
+        "mc-count": ({"kind": "mc-count", "model": {**MODEL4, "sigma": 0.5},
+                      "instances": 3, "lambda_bins": 5,
+                      "solver": {"n_starts": 200}, "seed": 2},
+                     "948519cb79f1cfa709f252776cc4cd73"
+                     "2403ed03356e49b19bb0475c281efe01"),
     }
 
     @pytest.mark.parametrize("kind", PINNED_PAYLOADS)

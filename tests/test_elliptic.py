@@ -50,6 +50,44 @@ def hermite_tau(k, tau, x):
     return h_cur if h_cur.ndim else float(h_cur)
 
 
+def psi_hat_scan_reference(n, tau, xs, weighted=True):
+    """`_psi_hat_scan` written with a fresh array per operation: the same
+    operations on the same operands in the same order as the in-place scan,
+    so the two must agree bit for bit."""
+    c = 1.0 + tau
+    with np.errstate(over="ignore"):
+        gauss_log = -xs * xs / (2.0 * c)
+    kept_log = gauss_log if weighted else np.zeros_like(xs)
+    a_prev, a_cur = np.zeros_like(xs), np.ones_like(xs)
+    scale_log, part = np.zeros_like(xs), np.zeros_like(xs)
+    log_done = np.full_like(xs, -np.inf)
+    anti = math.sqrt(0.5 * math.pi * c) * _erf(xs / math.sqrt(2.0 * c))
+    for k in range(n - 1):
+        part += a_cur * a_cur
+        if k % 2:
+            psi_k = a_cur * np.exp(scale_log + gauss_log)
+            anti = math.sqrt(k / (k + 1.0)) * anti - c / math.sqrt(k + 1.0) * psi_k
+        a_prev, a_cur = a_cur, ((xs * a_cur - tau * math.sqrt(k) * a_prev)
+                                / math.sqrt(k + 1.0))
+        m = np.maximum(np.abs(a_prev), np.abs(a_cur))
+        i = np.flatnonzero((m > 1e100) | ((m > 0.0) & (m < 1e-100)))
+        if i.size:
+            fac = m[i]
+            with np.errstate(divide="ignore"):
+                log_done[i] = np.logaddexp(
+                    log_done[i], np.log(part[i]) + (2.0 * scale_log[i]
+                                                     + (gauss_log[i] + kept_log[i])))
+            part[i] = 0.0
+            a_prev[i] /= fac
+            a_cur[i] /= fac
+            scale_log[i] += np.log(fac)
+    with np.errstate(divide="ignore"):
+        rho1_log = np.logaddexp(
+            log_done, np.log(part) + (2.0 * scale_log + (gauss_log + kept_log)))
+        log_top = np.log(np.abs(a_cur)) + scale_log + kept_log
+    return rho1_log, np.sign(a_cur), log_top, anti
+
+
 def one_draw(p, seed):
     return sample_elliptic_batch(p, 1, seed)[0]
 
@@ -328,6 +366,40 @@ class TestExactDensity:
             log_rho_real_exact(p, x)
         with pytest.raises(ParameterError, match="finite"):
             rho_real_exact(p, x)
+
+    @pytest.mark.parametrize("n,tau", [(2, 0.3), (8, -0.5), (100, 0.455),
+                                       (400, 0.9)])
+    def test_in_place_scan_matches_reference(self, n, tau):
+        xs = np.concatenate([np.linspace(-4.0, 4.0, 301) * math.sqrt(n),
+                             [0.0, 1e-120, 20.0 * math.sqrt(n), -1e6, 1e150]])
+        for weighted in (True, False):
+            got = _psi_hat_scan(n, tau, xs, weighted)
+            want = psi_hat_scan_reference(n, tau, xs, weighted)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.455, 0.9])
+    @pytest.mark.parametrize("n", [2, 8, 100, 400])
+    def test_pointwise_bit_for_bit(self, n, tau):
+        # the lockstep quadratures evaluate many integrals' nodes in one call
+        # and in chunks: a point's value must not depend on the other points,
+        # also where the scan rescales (far tails) or the chunks split
+        p = EllipticParams(n, tau)
+        sqrt_n = math.sqrt(n)
+        bulk = np.linspace(-3.0, 3.0, 7001) * sqrt_n
+        tails = np.array([20.0, -45.0, 1e3, -1e6, 1e150]) * sqrt_n
+        # |psi_hat_{N-1}| / weight above 1e100 means the scan rescaled
+        assert _psi_hat_scan(n, tau, tails, False)[2].max() > math.log(1e100)
+        for weighted in (True, False):
+            parts = [log_rho_real_exact(p, pts, weighted=weighted)
+                     for pts in (bulk, tails, bulk[::-3])]
+            joined = log_rho_real_exact(
+                p, np.concatenate([bulk, tails, bulk[::-3]]), weighted=weighted)
+            assert np.array_equal(joined, np.concatenate(parts))
+            # one point at a time gives the same bits as in a batch
+            single = [log_rho_real_exact(p, x, weighted=weighted)
+                      for x in tails]
+            assert np.array_equal(parts[1], np.array(single))
 
 
 class TestAsymptoticProfiles:

@@ -13,7 +13,8 @@ from sphere_equilibria.field_model import ModelParams, covariance_pair
 from sphere_equilibria.predictor import (DerivedParams, asympt_fixed,
                                          crossover_gamma, crossover_kappa,
                                          derived_params, mean_in_interval,
-                                         mean_total_exact, predict_asymptotic,
+                                         mean_in_intervals, mean_total_exact,
+                                         mean_totals_exact, predict_asymptotic,
                                          validate_det_identity,
                                          weak_nongradient)
 
@@ -146,6 +147,33 @@ class TestExactCounts:
         vals = [mean_total_exact(derived_params(cov, s), 8).value
                 for s in np.linspace(0.0, 2.0 * sc, 7)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n", [2, 100, 400])
+    def test_sigma_sweep_bit_for_bit(self, n):
+        # one lockstep quadrature over sigma (shared nodes below sigma_c,
+        # b^2 = 1 at sigma_c, its own cap above) gives each sigma's bits
+        dps = [DerivedParams.from_values(2.0, 3.0, 1.0, s)
+               for s in (0.3, 0.7, 1.0, 1.6, 0.3)]
+        assert dps[2].big_b == 0.0
+        assert mean_totals_exact(dps, n) == [mean_total_exact(dp, n)
+                                             for dp in dps]
+        assert mean_totals_exact([], n) == []
+
+    def test_interval_sweep_bit_for_bit(self):
+        dp = dp_for(0.455, 1.3)
+        edges = [-math.inf, -3.0, -0.5, 0.0, 0.0, 0.7, 40.0, math.inf]
+        bins = list(zip(edges[:-1], edges[1:]))
+        got = mean_in_intervals(dp, 100, bins)
+        assert got == [mean_in_interval(dp, 100, a, b) for a, b in bins]
+        assert got[3].value == 0.0 and got[3].log_value == -math.inf
+        assert_allclose(sum(r.value for r in got),
+                        mean_total_exact(dp, 100).value, rtol=1e-10)
+
+    def test_sweep_needs_one_tau(self):
+        with pytest.raises(ParameterError, match="one tau"):
+            mean_totals_exact([dp_for(0.3, 0.8), dp_for(0.5, 0.8)], 4)
+        with pytest.raises(ParameterError):
+            mean_in_intervals(dp_for(0.0, 0.8), 4, [(0.0, 1.0), (1.0, 0.0)])
 
     def test_log_value_finite_up_to_n500(self):
         pred = mean_total_exact(dp_for(0.0, 0.5), 500)
