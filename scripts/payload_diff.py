@@ -43,6 +43,11 @@ SMALL = {
                                "n_list": [2, 400]}, 7),
     "mc-count": ({"kind": "mc-count", "model": MODEL4, "instances": 4,
                   "lambda_bins": 6}, 7),
+    # a linear field (j2 = 0): the quadratic couplings are all zero
+    "mc-count-linear": ({"kind": "mc-count",
+                         "model": {"n": 4, "j1": 1.0, "j2": 0.0,
+                                   "alpha1": 0.5, "sigma": 0.4},
+                         "instances": 4}, 7),
     "spectra-validate": ({"kind": "spectra-validate", "n": 6, "tau": 0.0,
                           "trials": 5000, "bins": 8}, 7),
     "det-identity": ({"kind": "det-identity", "n": 4, "tau": 0.5,

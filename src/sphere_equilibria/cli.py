@@ -344,8 +344,9 @@ def write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _exact_sweep(dps: list[DerivedParams], n: int) -> list:
-    """The exact count at each of `dps` (one tau), or None at a size or tau
-    the exact formula does not cover."""
+    """The exact count at each of `dps` (one tau), or None at a tau the exact
+    formula does not cover (|tau| = 1, a gradient field).  Odd N never gets
+    here: both callers' configs reject it at parse time."""
     try:
         return mean_totals_exact(dps, n)
     except DomainError:
@@ -612,10 +613,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, strict=args.strict)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-    except (ParameterError, DomainError) as exc:
-        print(_error_json("config", exc))
-        return 2
-    try:
         code, _ = run(cfg, out_dir=args.out_dir, threads=args.threads,
                       strict=args.strict)
     except (ParameterError, DomainError) as exc:

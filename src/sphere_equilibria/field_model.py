@@ -7,9 +7,9 @@ N-vector magnetic field (entry variance sigma^2).  Asymmetry parameters
 alpha1, alpha2 mix each block with its transposes; alpha1 = alpha2 = 1 makes
 the field a gradient.
 
-Instances store *unit* standard-normal draws and apply the J1/J2/sigma scales
-at construction, so rescaling the coupling strengths while reusing the same
-draws is exact (see `FieldInstance.with_scales`).
+Each block is drawn from its own Philox stream keyed by (seed, block id), so
+`sample_field` with the same seed and rescaled J1/J2/sigma reuses the same
+unit draws: rescaling the coupling strengths is exact.
 """
 
 from __future__ import annotations
@@ -187,46 +187,39 @@ class FieldInstance:
     ----------
     params, seed : defining data; regenerating with the same pair reproduces
         the arrays bit-identically.
-    v1, v2, h : the scaled Gaussian blocks.
-    j1_matrix : N x N linear coupling ``V1 + alpha1 V1^T``.
+    h : the magnetic field, ``sigma`` times a unit draw.
+    j1_matrix : N x N linear coupling ``V1 + alpha1 V1^T``, where V1 is a unit
+        draw times ``J1/sqrt(N)``.
     j2_tensor : N x N x N quadratic coupling
-        ``V2_knm + alpha2 (V2_nkm + V2_nmk)``.
+        ``V2_knm + alpha2 (V2_nkm + V2_nmk)``, where V2 is a unit draw times
+        ``J2/N``.
     """
 
-    def __init__(self, params: ModelParams, seed: int, w1: np.ndarray,
-                 w2: np.ndarray, wh: np.ndarray):
+    def __init__(self, params: ModelParams, seed: int):
         n = params.n
-        if w1.shape != (n, n) or w2.shape != (n, n, n) or wh.shape != (n,):
-            raise ParameterError("unit-draw arrays have inconsistent shapes")
         self.params = params
         self.seed = int(seed)
-        self._w1 = w1
-        self._w2 = w2
-        self._wh = wh
-        self.v1 = (params.j1 / math.sqrt(n)) * w1
-        self.v2 = (params.j2 / n) * w2
-        self.h = params.sigma * wh
-        self.j1_matrix = self.v1 + params.alpha1 * self.v1.T
-        # J2[k, n, m] = V2[k, n, m] + alpha2 (V2[n, k, m] + V2[n, m, k])
-        self.j2_tensor = (self.v2
-                          + params.alpha2 * (np.transpose(self.v2, (1, 0, 2))
-                                             + np.transpose(self.v2, (2, 0, 1))))
-        self._j2_sym = self.j2_tensor + np.transpose(self.j2_tensor, (0, 2, 1))
-        for arr in (self._w1, self._w2, self._wh, self.v1, self.v2, self.h,
-                    self.j1_matrix, self.j2_tensor, self._j2_sym):
+        v1 = stream(seed, _W1_STREAM).standard_normal((n, n))
+        v1 *= params.j1 / math.sqrt(n)
+        self.j1_matrix = v1 + params.alpha1 * v1.T
+        # J2[k, n, m] = V2[k, n, m] + alpha2 (V2[n, k, m] + V2[n, m, k]),
+        # built in C order: eval_field's contraction rounds by the layout
+        v2 = stream(seed, _W2_STREAM).standard_normal((n, n, n))
+        v2 *= params.j2 / n
+        j2 = np.add(np.transpose(v2, (1, 0, 2)), np.transpose(v2, (2, 0, 1)),
+                    order="C")
+        j2 *= params.alpha2
+        j2 += v2
+        del v2
+        self.j2_tensor = j2
+        self._j2_sym = j2 + np.transpose(j2, (0, 2, 1))
+        self.h = params.sigma * stream(seed, _WH_STREAM).standard_normal(n)
+        for arr in (self.h, self.j1_matrix, self.j2_tensor, self._j2_sym):
             arr.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.params.n
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldInstance):
-            return NotImplemented
-        return (self.params == other.params and self.seed == other.seed
-                and np.array_equal(self._w1, other._w1)
-                and np.array_equal(self._w2, other._w2)
-                and np.array_equal(self._wh, other._wh))
 
     def eval_field(self, x: np.ndarray) -> np.ndarray:
         """Coupling field f(x); accepts a single point (N,) or a batch (..., N).
@@ -260,18 +253,6 @@ class FieldInstance:
         """h + f(x), the non-constraint part of the equation of motion."""
         return self.h + self.eval_field(x)
 
-    def with_scales(self, j1: float | None = None, j2: float | None = None,
-                    sigma: float | None = None) -> "FieldInstance":
-        """Same unit draws under different coupling scales (exact rescaling)."""
-        p = self.params
-        new = ModelParams(n=p.n,
-                          j1=p.j1 if j1 is None else j1,
-                          j2=p.j2 if j2 is None else j2,
-                          alpha1=p.alpha1, alpha2=p.alpha2,
-                          sigma=p.sigma if sigma is None else sigma,
-                          field_free=p.field_free)
-        return FieldInstance(new, self.seed, self._w1, self._w2, self._wh)
-
 
 def sample_field(params: ModelParams, seed: int) -> FieldInstance:
     """Draw a field realization; deterministic in (params, seed).
@@ -279,8 +260,4 @@ def sample_field(params: ModelParams, seed: int) -> FieldInstance:
     The three blocks use independent Philox streams keyed by (seed, block id),
     so each block is reproducible regardless of generation order.
     """
-    n = params.n
-    w1 = stream(seed, _W1_STREAM).standard_normal((n, n))
-    w2 = stream(seed, _W2_STREAM).standard_normal((n, n, n))
-    wh = stream(seed, _WH_STREAM).standard_normal(n)
-    return FieldInstance(params, seed, w1, w2, wh)
+    return FieldInstance(params, seed)

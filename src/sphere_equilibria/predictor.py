@@ -128,13 +128,6 @@ class CountPrediction:
         return cls(value=value, log_value=log_value, regime=regime, n=n)
 
 
-def _require_even(n: int) -> None:
-    if n % 2 != 0 or n < 2:
-        raise DomainError(
-            f"exact predictions are implemented for even N only (got N={n}); "
-            "use the Monte Carlo counter for odd sizes")
-
-
 def _log_double_factorial_even(m: int) -> float:
     """log((m)!!) for even m >= 0."""
     half = m // 2
@@ -173,7 +166,6 @@ def mean_totals_exact(dps: list[DerivedParams], n: int
                       ) -> list[CountPrediction]:
     """`mean_total_exact` at each of `dps`, which share one tau (a sweep over
     sigma), from one lockstep quadrature."""
-    _require_even(n)
     if len({dp.tau for dp in dps}) > 1:
         raise ParameterError("a lockstep sweep needs one tau for all its points")
     if not dps:
@@ -204,7 +196,6 @@ def mean_in_intervals(dp: DerivedParams, n: int,
                       ) -> list[CountPrediction]:
     """`mean_in_interval` over each (alpha, beta) of `intervals`, from one
     lockstep quadrature."""
-    _require_even(n)
     for alpha, beta in intervals:
         if not alpha <= beta:
             raise ParameterError(f"need alpha <= beta, got ({alpha}, {beta})")
@@ -272,11 +263,8 @@ def validate_det_identity(tau: float, n: int, lam: float, trials: int,
     out that all draws give the same |det| to rounding has no standard error
     and is rejected.  Draws follow `elliptic_batches` in batches of 8192.
     """
-    _require_even(n)
-    if not (-1.0 < tau < 1.0):
-        raise DomainError(
-            "determinant identity is validated on the elliptic-density route, "
-            f"which needs |tau| < 1 (got {tau})")
+    p = EllipticParams(n, tau)
+    p.require_exact_density()
     if trials < 2:
         raise ParameterError("trials must be >= 2 for a standard error")
     # the factor exp(N lam^2/(2(1+tau))) is folded into the density, whose
@@ -287,8 +275,7 @@ def validate_det_identity(tau: float, n: int, lam: float, trials: int,
         raise ParameterError(f"lam sqrt(N) must be finite, got lam = {lam}")
     rhs_log = (math.log(2.0) + _log_double_factorial_even(n - 2)
                + 0.5 * math.log1p(tau)
-               + float(log_rho_real_exact(EllipticParams(n, tau), x,
-                                          weighted=False)))
+               + float(log_rho_real_exact(p, x, weighted=False)))
 
     shift = x * np.eye(n - 1)
     logs = np.concatenate([

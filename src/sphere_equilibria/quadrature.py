@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ParameterError
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1]
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -152,7 +152,7 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12,
     """
     for a, b in intervals:
         if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError("log_quad requires finite bounds; truncate first")
+            raise ParameterError("log_quad requires finite bounds; truncate first")
     results = [LogQuadResult(-np.inf, 0, 0, 0.0) if b <= a else None
                for a, b in intervals]
     live = {j: _Integral(a, b, initial_panels, rel_tol)

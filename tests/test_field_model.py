@@ -1,6 +1,8 @@
 """Field sampler, analytic covariances, Jacobians."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,29 +45,56 @@ class TestModelParams:
 
 class TestSampling:
     def test_zero_scale_components_vanish(self):
-        inst = sample_field(ModelParams(n=4, j1=1.0, j2=0.0, alpha1=1.0), 7)
-        assert np.all(inst.v2 == 0.0)
+        inst = sample_field(ModelParams(n=4, j1=1.0, j2=0.0), 7)
+        assert np.all(inst.j2_tensor == 0.0)
         assert np.all(inst.h == 0.0)
-        assert np.any(inst.v1 != 0.0)
+        assert np.any(inst.j1_matrix != 0.0)
 
     def test_deterministic_in_seed(self):
         p = ModelParams(n=4, j1=1.0, j2=1.0, alpha1=0.2, alpha2=0.3, sigma=0.5)
-        assert sample_field(p, 7) == sample_field(p, 7)
-        assert sample_field(p, 7) != sample_field(p, 8)
+        a, b, c = sample_field(p, 7), sample_field(p, 7), sample_field(p, 8)
+        for name in ("h", "j1_matrix", "j2_tensor", "_j2_sym"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert not np.array_equal(getattr(a, name), getattr(c, name))
+
+    @pytest.mark.parametrize("model, seed, digests", [
+        (dict(n=4, j2=0.0, alpha1=0.5, sigma=0.4), 3,
+         ("f35696a419a894309c7ccf04960bd0e2", "c492fa38ede83abd68f10526fc0dbe47",
+          "4e6b8cdf479b6d8407c6d3d4d306d10e", "a6c246e9ad585ada661c56049919d750")),
+        (dict(n=10, j2=0.0, alpha1=-0.3, sigma=0.2), 5,
+         ("fb403a0017295ac2f043bb7d4442931e", "2bb23f9839b8c9358ac73e5f7361d7c7",
+          "bdd25a67fc4dbfb6dd5980e2cbd29679", "fc06abb95299e7be54798da4bbfae292")),
+        (dict(n=4, j2=1.0, alpha1=0.3, alpha2=0.2, sigma=1.0), 7,
+         ("f2c4d0003281f3c539d49343e16b23c1", "a1e232c1e450feed5e739d7b7ff3cd74",
+          "be68cf277d62a49a58128f2a6050b48a", "37edf0fb378d72724d1f0b901b31dead")),
+        (dict(n=10, j1=0.7, j2=1.3, alpha1=0.4, alpha2=-0.3, sigma=0.5), 11,
+         ("bd126be6368c823dc220b70fbee9dc38", "8789f899b9763bb8c1cfaa46f15c0d43",
+          "70f0ee463dcc272fa664935acc7b3d5e", "ba138dd607b73e535a189f36c786353e")),
+    ])
+    def test_pinned_field_bits(self, model, seed, digests):
+        # every evaluation reads these arrays, bit for bit and in C order
+        # (eval_field's contraction rounds by the tensor's layout); the
+        # digests are sha256 prefixes of their bytes
+        inst = sample_field(ModelParams(**model), seed)
+        for name, want in zip(("h", "j1_matrix", "j2_tensor", "_j2_sym"),
+                              digests):
+            arr = getattr(inst, name)
+            assert arr.flags.c_contiguous, name
+            assert hashlib.sha256(arr.tobytes()).hexdigest()[:32] == want, name
 
     def test_v1_entry_variance(self):
-        # entries ~ N(0, j1^2/n): j1=2, n=8 -> 0.5
+        # entries ~ N(0, j1^2/n): j1=2, n=8 -> 0.5; alpha1 = 0 makes J1 = V1
         p = ModelParams(n=8, j1=2.0, j2=0.0)
-        vals = np.concatenate([sample_field(p, s).v1.ravel()
+        vals = np.concatenate([sample_field(p, s).j1_matrix.ravel()
                                for s in range(10_000 // 64 + 1)])
         var = vals.var(ddof=1)
         se = var * math.sqrt(2.0 / (len(vals) - 1))
         assert abs(var - 0.5) < 3 * se
 
     def test_v2_entry_variance(self):
-        # entries ~ N(0, j2^2/n^2): j2=3, n=4 -> 9/16
+        # entries ~ N(0, j2^2/n^2): j2=3, n=4 -> 9/16; alpha2 = 0 makes J2 = V2
         p = ModelParams(n=4, j1=0.0, j2=3.0)
-        vals = np.concatenate([sample_field(p, s).v2.ravel()
+        vals = np.concatenate([sample_field(p, s).j2_tensor.ravel()
                                for s in range(200)])
         var = vals.var(ddof=1)
         se = var * math.sqrt(2.0 / (len(vals) - 1))
@@ -88,7 +117,7 @@ class TestEvalField:
         # j2=0, alpha1=0: f = V1 x exactly
         inst = sample_field(ModelParams(n=6, j1=1.3, j2=0.0, alpha1=0.0), 11)
         x = sphere_point(6, 0)
-        assert_allclose(inst.eval_field(x), inst.v1 @ x, rtol=0, atol=0)
+        assert_allclose(inst.eval_field(x), inst.j1_matrix @ x, rtol=0, atol=0)
 
     def test_batched_evaluation_matches_loop(self):
         inst = sample_field(ModelParams(n=4, j1=1.0, j2=1.0, alpha1=0.4,
@@ -268,7 +297,8 @@ class TestScalingAndIsotropy:
     def test_exact_rescaling_with_shared_draws(self):
         p = ModelParams(n=5, j1=1.0, j2=0.5, alpha1=0.3, alpha2=0.2, sigma=0.7)
         inst = sample_field(p, 13)
-        scaled = inst.with_scales(j1=2.0, j2=1.0, sigma=1.4)
+        # each block has its own Philox stream: the same seed reuses the draws
+        scaled = sample_field(replace(p, j1=2.0, j2=1.0, sigma=1.4), 13)
         x = sphere_point(5, 6)
         assert_array_equal(scaled.h, 2.0 * inst.h)
         # linear part doubles, quadratic part doubles: both scale by c

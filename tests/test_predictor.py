@@ -124,6 +124,10 @@ class TestExactCounts:
     def test_odd_n_rejected(self):
         with pytest.raises(DomainError, match="even"):
             mean_total_exact(dp_for(0.0, 0.8), 5)
+        with pytest.raises(DomainError, match="even"):
+            mean_in_interval(dp_for(0.0, 0.8), 5, 0.0, 1.0)
+        with pytest.raises(DomainError, match="even"):
+            validate_det_identity(0.5, 5, 0.0, 100, seed=0)
 
     def test_tau_one_rejected(self):
         cov = covariance_pair(ModelParams(n=4, j1=1, j2=1, alpha1=1, alpha2=1))

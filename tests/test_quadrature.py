@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sphere_equilibria.errors import NumericalError
+from sphere_equilibria.errors import NumericalError, ParameterError
 from sphere_equilibria.quadrature import (_group_log_integrals, log_quad,
                                          log_quad_many)
 
@@ -110,5 +110,5 @@ def test_non_convergence_raises():
 
 
 def test_infinite_bounds_rejected():
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ParameterError, match="finite"):
         log_quad_many(lambda xs, owner: -xs, [(0.0, 1.0), (0.0, np.inf)])

@@ -118,7 +118,8 @@ class TestReportInvariants:
     def test_scaling_moves_lambda_not_roots(self):
         # scaling (j1, j2, sigma) by c keeps the root set, scales lambda by c
         inst, rep = self.make_report()
-        scaled = inst.with_scales(j1=2.0, j2=2.0, sigma=1.0)
+        scaled = sample_field(dataclasses.replace(inst.params, j1=2.0, j2=2.0,
+                                                  sigma=1.0), inst.seed)
         rep2 = find_equilibria(scaled, SolverOptions(seed=2))
         assert rep2.n_found == rep.n_found
         for a, b in zip(rep.points, rep2.points):
