@@ -13,7 +13,8 @@ checkouts in two concurrent child processes with BLAS pinned to one thread.
 
 Per instance the script prints every difference in `n_found`, `saturated`,
 `basin_hits`, `n_converged_starts` and the bits of the representatives
-(x, lam, residual), then a summary line per field.  The exit status is 0
+(x, lam, residual and tangent spectrum, every per-root output that
+`equilibria.json` carries), then a summary line per field.  The exit status is 0
 when nothing differs and 1 otherwise.
 """
 
@@ -60,6 +61,7 @@ def solve_corpus(sigma_indices: list[int], n_instances: int) -> list[dict]:
                 bits.update(pt.x.tobytes())
                 bits.update(np.float64(pt.lam).tobytes())
                 bits.update(np.float64(pt.residual).tobytes())
+                bits.update(pt.tangent_spectrum.tobytes())
             records.append({
                 "seed": seed, "instance": i, "sigma": float(sigmas[s]),
                 "n_found": rep.n_found, "saturated": rep.saturated,

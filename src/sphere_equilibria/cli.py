@@ -103,6 +103,14 @@ def _from_fields(cls, d, where: str, ignored: list | None = None):
         raise type(exc)(f"field '{where}': {exc}") from exc
 
 
+def _set_elsewhere(d: dict, where: str, by: str, **allowed) -> None:
+    """Raise naming the first key of `allowed` that `d` sets to other than
+    `allowed[key]` (None: to anything), as `by` sets it instead."""
+    for key, value in allowed.items():
+        if d.get(key) not in (None, value):
+            raise ParameterError(f"field '{where}.{key}': {by}, got {d[key]!r}")
+
+
 def _at_least(spec, **bounds) -> None:
     """Raise naming the first field of `spec` that is below its bound."""
     for name, lo in bounds.items():
@@ -123,7 +131,7 @@ class Solver:
 @dataclass(frozen=True)
 class Covariance:
     """`predict-sweep`'s model: Phi1(1), Phi1'(1) and Phi2(1), or a
-    quadratic-family model (`ModelParams`, `n` defaulting to 2) read as them."""
+    quadratic-family model (`ModelParams` less `n` and `sigma`) read as them."""
 
     phi1_1: float
     dphi1_1: float
@@ -133,6 +141,8 @@ class Covariance:
     def prepare(d: dict, where: str) -> dict:
         if {"phi1_1", "dphi1_1", "phi2_1"} <= set(d):
             return d
+        _set_elsewhere(d, where, "'n_list' and 'sigma_grid' set n and sigma",
+                       n=None, sigma=None)
         cov = covariance_pair(_from_fields(ModelParams, {"n": 2, **d}, where))
         return {"phi1_1": cov.phi1(1.0), "dphi1_1": cov.dphi1(1.0),
                 "phi2_1": cov.phi2(1.0)}
@@ -167,7 +177,6 @@ class MCCount:
     instances: int
     solver: Solver = Solver()
     lambda_bins: int = 12
-    compare_exact: bool = True
 
     def __post_init__(self):
         _at_least(self, instances=1, lambda_bins=1)
@@ -219,8 +228,9 @@ class Dynamics(DynamicsOptions):
 class TransitionCurve:
     """`transition-curve`: exact, asymptotic and Monte Carlo counts over sigma.
 
-    The model takes `n` and sigma = 0.  Without `sigma_grid`, `prepare` makes
-    `grid_points` (default 9) sigmas from 0 to `max_sigma_factor` (2) sigma_c."""
+    The model takes `n` and sigma = 0 (its own may only repeat them); without
+    `sigma_grid`, `prepare` makes `grid_points` (default 9) sigmas from 0 to
+    `max_sigma_factor` (2) sigma_c, and with it both keys are rejected."""
 
     model: ModelParams
     n: int
@@ -232,9 +242,15 @@ class TransitionCurve:
     def prepare(raw: dict, where: str) -> dict:
         d = {k: v for k, v in raw.items()
              if k not in ("grid_points", "max_sigma_factor")}
-        d["model"] = {**_get(d, "model", dict, MISSING, where),
-                      "n": _get(d, "n", int, MISSING, where), "sigma": 0.0}
-        if d.get("sigma_grid") is None:
+        model = _get(d, "model", dict, MISSING, where)
+        n = _get(d, "n", int, MISSING, where)
+        _set_elsewhere(model, f"{where}.model", f"the curve takes n = {n} from "
+                       "'n' and sigma from 'sigma_grid'", n=n, sigma=0.0)
+        d["model"] = {**model, "n": n, "sigma": 0.0}
+        if d.get("sigma_grid") is not None:
+            _set_elsewhere(raw, where, "unused with a 'sigma_grid'",
+                           grid_points=None, max_sigma_factor=None)
+        else:
             model = _get(d, "model", ModelParams, MISSING, where)
             pts = _get(raw, "grid_points", int, 9, where)
             fac = _get(raw, "max_sigma_factor", float, 2.0, where)
@@ -372,7 +388,7 @@ def _run_predict_sweep(c: PredictSweep, seed: int, threads: int,
 
 def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
     dp = pred = None
-    if c.compare_exact and not c.model.field_free:
+    if not c.model.field_free:
         try:
             dp = derived_params(covariance_pair(c.model), c.model.sigma)
             pred = mean_total_exact(dp, c.model.n)

@@ -6,10 +6,10 @@ An equilibrium is a pair (x, lam) solving the bordered system
 
 All starts are advanced simultaneously: the batched (N+1)-dimensional Newton
 step uses the analytic field Jacobian plus the bordering row/column, damped by
-residual-monotone step halving.  A row whose full step fails the Armijo test
-tries the halving levels t = 2^-k lazily, in the doubling blocks of levels
-1-2, 3-6, 7-14 and 15-30 (`_MAX_HALVINGS`), and leaves at the first block that
-holds an accepted level.  The constraint term C = |x|^2 - N costs O(N) and
+residual-monotone step halving.  Each row tries the step lengths t = 2^-k
+lazily, in the blocks of levels 0 (the full step), 1-2, 3-6, 7-14 and 15-30
+(`_MAX_HALVINGS`), and leaves at the first block that holds a level passing
+the Armijo test.  The constraint term C = |x|^2 - N costs O(N) and
 bounds the residual from below, so a candidate whose |C| already fails the
 Armijo bound is rejected without evaluating the field.  Converged starts are
 deduplicated in start order within Euclidean distance 1e-6 sqrt(N) in x (lam
@@ -211,52 +211,36 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
         rhs = np.concatenate([-f[idx], -c[idx, None]], axis=1)
         delta = _solve_batch(a_mat, rhs)
 
-        # damped update: the full step first, then the halving levels
-        # t = 2^-k in doubling blocks 1-2, 3-6, 7-14, ... (capped at
-        # _MAX_HALVINGS); a row leaves at the first block holding a level that
-        # passes the Armijo test and takes the first such level.  Every block
-        # below the cap has two or more levels, so a candidate batch is a
-        # single row only when one row searches a one-level last block: numpy
-        # sends a one-row product to BLAS gemv, whose rounding differs from
-        # the gemm that evaluates every larger batch.  The field is evaluated
-        # only on candidates whose constraint term |C| is within the Armijo
-        # bound (see `_system_residual`).
-        xt, lt = xa + delta[:, :n], la + delta[:, n]
-        bound = (1.0 - 1e-4) * ra
-        ft, ct, rt = _system_residual(inst, xt, lt, bound)
-        accepted = rt <= bound
-        rem = np.flatnonzero(~accepted)
-        lo_level, hi_level = 1, 2
+        # damped update: trial steps t = 2^-k in the level blocks 0 (the full
+        # step), 1-2, 3-6, 7-14, ... (capped at _MAX_HALVINGS); a row takes
+        # the first passing level of the first block that holds one.  Only
+        # block 0 and a cap-cut last block have one level, so only they give
+        # one-row candidate batches (of a lone row): numpy sends a one-row
+        # product to BLAS gemv, whose rounding differs from the gemm of every
+        # larger batch.  The field is evaluated only on candidates whose
+        # constraint term |C| is within the Armijo bound (`_system_residual`).
+        rem = np.arange(m)
+        lo_level = hi_level = 0
         while rem.size and lo_level <= _MAX_HALVINGS:
             tgrid = 0.5 ** np.arange(lo_level,
                                      min(hi_level, _MAX_HALVINGS) + 1)
-            cand_x = xa[rem, None, :] + tgrid[None, :, None] * delta[rem, None, :n]
-            cand_l = la[rem, None] + tgrid[None, :] * delta[rem, None, n]
-            bound = (1.0 - 1e-4 * tgrid[None, :]) * ra[rem, None]
-            fc, cc, rc = _system_residual(
-                inst, cand_x.reshape(-1, n), cand_l.ravel(), bound.ravel())
-            rc = rc.reshape(rem.size, -1)
-            ok = rc <= bound
+            cand_x = (xa[rem, None] + tgrid[:, None] * delta[rem, None, :n]
+                      ).reshape(-1, n)
+            cand_l = (la[rem, None] + tgrid * delta[rem, None, n]).ravel()
+            bound = ((1.0 - 1e-4 * tgrid) * ra[rem, None]).ravel()
+            fc, cc, rc = _system_residual(inst, cand_x, cand_l, bound)
+            ok = (rc <= bound).reshape(rem.size, -1)
             took = ok.any(axis=1)
-            rows = rem[took]
-            sel = ok[took].argmax(axis=1)
-            xt[rows] = cand_x[took, sel, :]
-            lt[rows] = cand_l[took, sel]
-            ft[rows] = fc.reshape(rem.size, len(tgrid), n)[took, sel]
-            ct[rows] = cc.reshape(rem.size, -1)[took, sel]
-            rt[rows] = rc[took, sel]
-            accepted[rows] = True
+            pick = np.flatnonzero(took) * len(tgrid) + ok[took].argmax(axis=1)
+            rows = idx[rem[took]]
+            x[rows], lam[rows], f[rows] = cand_x[pick], cand_l[pick], fc[pick]
+            c[rows], res[rows] = cc[pick], rc[pick]
             rem = rem[~took]
             lo_level, hi_level = hi_level + 1, 2 * hi_level + 2
-        x[idx[accepted]] = xt[accepted]
-        lam[idx[accepted]] = lt[accepted]
-        f[idx[accepted]] = ft[accepted]
-        c[idx[accepted]] = ct[accepted]
-        res[idx[accepted]] = rt[accepted]
         # starts that cannot decrease the residual at any step size down to
         # 2^-_MAX_HALVINGS stall out: a shorter step almost never leads a
         # start to a root (see `_MAX_HALVINGS`)
-        active[idx[~accepted]] = False
+        active[idx[rem]] = False
     newly = active & (res <= _TOL)
     converged |= newly
 

@@ -78,6 +78,21 @@ MALFORMED = {
     "infinite-lambda": ({**DET, "lambdas": [math.inf]}, "lambdas"),
     "odd-spectra-n": ({"kind": "spectra-validate", "n": 5, "tau": 0.3,
                        "trials": 100_000}, "even n"),
+    # keys that another key of the config sets or makes unused
+    "curve-model-n": ({**CURVE, "model": {"j1": 1.0, "j2": 1.0, "n": 6}},
+                      "config.model.n"),
+    "curve-model-sigma": ({**CURVE, "model": {"j1": 1.0, "j2": 1.0,
+                                              "sigma": 5.0}},
+                          "config.model.sigma"),
+    "grid-points-with-sigma-grid": ({**CURVE, "sigma_grid": [0.0, 1.0],
+                                     "grid_points": 7}, "grid_points"),
+    "max-sigma-factor-with-sigma-grid": ({**CURVE, "sigma_grid": [0.0, 1.0],
+                                          "max_sigma_factor": -3},
+                                         "max_sigma_factor"),
+    "sweep-model-sigma": ({**SWEEP, "model": {"j1": 1.0, "sigma": 9.0},
+                           "sigma_grid": [0.0]}, "config.model.sigma"),
+    "sweep-model-n": ({**SWEEP, "model": {"j1": 1.0, "n": 50},
+                       "sigma_grid": [0.0]}, "config.model.n"),
 }
 
 
@@ -375,8 +390,7 @@ class TestMainExitCodes:
         payload = {"kind": "mc-count",
                    "model": {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3,
                              "alpha2": 0.2, "sigma": 0.0},
-                   "instances": 6, "solver": {"n_starts": 6}, "seed": 1,
-                   "compare_exact": False}
+                   "instances": 6, "solver": {"n_starts": 6}, "seed": 1}
         path = write_config(tmp_path, payload)
         code = main(["run", path, "--out-dir", str(tmp_path / "o"),
                      "--strict"])

@@ -259,6 +259,26 @@ class TestPinnedOutputs:
         # one-row candidate batches of the line search
         assert sum(one_row) > rep.n_found
 
+    def test_one_row_batches(self):
+        # one or two starts leave a lone active row most iterations: its full
+        # step is a one-row batch, evaluated unpadded (BLAS gemv), while a
+        # lone screen survivor of a larger batch is padded to gemm; padding
+        # or unpadding either moves these bits
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
+        roots, residuals = hashlib.sha256(), hashlib.sha256()
+        for n_starts in (1, 2):
+            for seed in range(40):
+                rep = find_equilibria(sample_field(p, seed), SolverOptions(
+                    n_starts=n_starts, seed=seed))
+                for pt in rep.points:
+                    roots.update(pt.x.tobytes())
+                    roots.update(np.float64(pt.lam).tobytes())
+                    residuals.update(np.float64(pt.residual).tobytes())
+        assert roots.hexdigest() == ("33078c9accfe8a71138c66ca65c18787"
+                                     "e678438a66ef10cc1d9d79d35a89a23f")
+        assert residuals.hexdigest() == ("9dd21b4b75f2dceb484a8a0e4f9e75ae"
+                                         "850bc425d7dcf209d59a1389109813db")
+
 
 def dedup_by_pairs(xs, radius):
     """Reference dedup: each point joins the first earlier representative
