@@ -42,8 +42,7 @@ def solve_corpus(sigma_indices: list[int], n_instances: int) -> list[dict]:
     from sphere_equilibria.field_model import (ModelParams, covariance_pair,
                                                sample_field)
     from sphere_equilibria.predictor import derived_params
-    from sphere_equilibria.search import (SolverOptions, default_n_starts,
-                                          find_equilibria)
+    from sphere_equilibria.search import default_n_starts, find_equilibria
 
     cov = covariance_pair(ModelParams(n=4, **MODEL))
     sigmas = np.linspace(0.0, 2.0 * derived_params(cov, 0.0).sigma_c, 5)
@@ -54,8 +53,8 @@ def solve_corpus(sigma_indices: list[int], n_instances: int) -> list[dict]:
         budget = default_n_starts(params)
         for i in range(n_instances):
             inst = sample_field(params, derive_seed(seed, f"instance-{i}"))
-            rep = find_equilibria(inst, SolverOptions(
-                n_starts=budget, seed=derive_seed(seed, f"starts-{i}")))
+            rep = find_equilibria(inst, budget,
+                                  derive_seed(seed, f"starts-{i}"))
             bits = hashlib.sha256()
             for pt in rep.points:
                 bits.update(pt.x.tobytes())
@@ -73,10 +72,13 @@ def solve_corpus(sigma_indices: list[int], n_instances: int) -> list[dict]:
 
 def start_child(root: str, sigma_indices: list[int], n_instances: int
                 ) -> subprocess.Popen:
+    """Solve the corpus in a child running `root`'s own copy of this script
+    on `root`'s `src/`, so each side calls its own package's API."""
+    root = os.path.abspath(root)
     env = dict(os.environ, **PIN)
-    env["PYTHONPATH"] = os.path.join(os.path.abspath(root), "src")
-    cmd = [sys.executable, os.path.abspath(__file__), "--child",
-           "--instances", str(n_instances)]
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    cmd = [sys.executable, os.path.join(root, "scripts", "count_diff.py"),
+           "--child", "--instances", str(n_instances)]
     for s in sigma_indices:
         cmd += ["--sigma-index", str(s)]
     return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)

@@ -27,8 +27,7 @@ from .predictor import (CountPrediction, DerivedParams, DetIdentityReport,
                         mean_totals_exact, predict_asymptotic,
                         validate_det_identity, weak_nongradient)
 from .search import (CountReport, EquilibriumPoint, MCCountResult,
-                     SolverOptions, find_equilibria, mc_mean_count,
-                     tangent_spectrum_at)
+                     find_equilibria, mc_mean_count, tangent_spectrum_at)
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,7 @@ __all__ = [
     "validate_det_identity", "asympt_fixed", "crossover_gamma",
     "crossover_kappa", "weak_nongradient", "predict_asymptotic",
     # search
-    "SolverOptions", "EquilibriumPoint", "CountReport", "MCCountResult",
+    "EquilibriumPoint", "CountReport", "MCCountResult",
     "find_equilibria", "tangent_spectrum_at", "mc_mean_count",
     # dynamics
     "Trajectory", "DynamicsOptions", "RunResult", "lambda_of_state",

@@ -10,6 +10,7 @@ reproduce bit-identically.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -20,6 +21,13 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
     """Generator for sub-stream `stream_id` of master `seed`."""
     key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def sphere_points(seed: int, m: int, n: int) -> np.ndarray:
+    """`m` points uniform on the sphere |x|^2 = n: normalized Gaussian rows
+    of stream 0 of `seed`."""
+    g = stream(seed, 0).standard_normal((m, n))
+    return math.sqrt(n) * g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def derive_seed(master_seed: int, name: str) -> int:

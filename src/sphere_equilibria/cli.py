@@ -26,13 +26,13 @@ import sys
 import tempfile
 import time
 import typing
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass, replace)
+from dataclasses import (MISSING, asdict, dataclass, fields, is_dataclass,
+                         replace)
 
 import numpy as np
 
 from . import __version__
-from ._rng import derive_seed, stream
+from ._rng import derive_seed, sphere_points
 from .dynamics import DynamicsOptions, run_to_equilibrium_batch
 from .elliptic import (EllipticParams, expected_counts_in_bins,
                        expected_real_count, mean_real_count,
@@ -44,7 +44,7 @@ from .predictor import (_QUAD_REL_TOL, DerivedParams, derived_params,
                         mean_in_intervals, mean_total_exact,
                         mean_totals_exact, predict_asymptotic,
                         validate_det_identity)
-from .search import SolverOptions, find_equilibria, mc_mean_count
+from .search import find_equilibria, mc_mean_count
 
 
 # ---------------------------------------------------------------------------
@@ -80,21 +80,18 @@ def _get(d: dict, key: str, typ, default, where: str):
     return default
 
 
-def _from_fields(cls, d, where: str, ignored: list | None = None):
+def _from_fields(cls, d, where: str):
     """Build the dataclass `cls` from the config object `d`, whose keys, types
     and defaults are the fields of `cls`.  A ``cls.prepare(d, where)`` first
-    derives fields from inputs that are not fields.  Unknown keys raise, or
-    are appended to `ignored` when it is given."""
+    derives fields from inputs that are not fields.  Unknown keys raise."""
     if type(d) is not dict:
         raise ParameterError(f"field '{where}' must be an object")
     if hasattr(cls, "prepare"):
         d = cls.prepare(d, where)
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown and ignored is None:
+    if unknown:
         raise ParameterError(f"field '{where}': unknown keys {', '.join(unknown)}")
-    if ignored is not None:
-        ignored += unknown
     kwargs = {f.name: _get(d, f.name, hints[f.name], f.default, where)
               for f in fields(cls)}
     try:
@@ -125,7 +122,8 @@ class Solver:
     n_starts: int | None = None
 
     def __post_init__(self):
-        SolverOptions(self.n_starts)  # its range check
+        if self.n_starts is not None:
+            _at_least(self, n_starts=1)
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,6 @@ class ExperimentConfig:
     spec: typing.Any  # the kind's schema dataclass
     seed: int
     out_dir: str | None = None
-    unknown_keys: list[str] = field(default_factory=list)
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, **asdict(self.spec)}
@@ -290,11 +287,10 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def parse_config(path, strict: bool = False) -> ExperimentConfig:
+def parse_config(path) -> ExperimentConfig:
     """Load, validate and normalize an experiment config.
 
-    Unknown keys are an error in strict mode and recorded in the manifest
-    otherwise; out-of-range values always raise, naming the offending field.
+    Unknown keys and out-of-range values raise, naming the offending field.
     Defaults are filled in explicitly so the normalized payload round-trips.
     """
     try:
@@ -310,15 +306,12 @@ def parse_config(path, strict: bool = False) -> ExperimentConfig:
     if kind not in _EXPERIMENTS:
         raise ParameterError(
             f"field 'kind' must be one of {', '.join(_EXPERIMENTS)}; got {kind!r}")
-    unknown = []
     spec = _from_fields(_EXPERIMENTS[kind][0],
                         {k: v for k, v in raw.items()
-                         if k not in ("kind", "seed", "out_dir")},
-                        "config", None if strict else unknown)
+                         if k not in ("kind", "seed", "out_dir")}, "config")
     return ExperimentConfig(kind=kind, spec=spec,
                             seed=_get(raw, "seed", int, 0, "config"),
-                            out_dir=_get(raw, "out_dir", str, None, "config"),
-                            unknown_keys=unknown)
+                            out_dir=_get(raw, "out_dir", str, None, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +389,7 @@ def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
             pass
     scale = dp.lambda_scale if dp is not None else 1.0
     edges = np.linspace(-3.0 * scale, 3.0 * scale, c.lambda_bins + 1)
-    result = mc_mean_count(c.model, c.instances, SolverOptions(c.solver.n_starts),
+    result = mc_mean_count(c.model, c.instances, c.solver.n_starts,
                            seed=derive_seed(seed, "mc-count"),
                            lambda_edges=edges, strict=strict, threads=threads)
 
@@ -490,8 +483,8 @@ def _run_det_identity(c: DetIdentity, seed: int, threads: int,
 def _run_dynamics(c: Dynamics, seed: int, threads: int, strict: bool) -> dict:
     inst = sample_field(c.model, derive_seed(seed, "dynamics-instance")
                         if c.instance_seed is None else c.instance_seed)
-    report = find_equilibria(inst, SolverOptions(
-        c.solver.n_starts, derive_seed(seed, "dynamics-solver")))
+    report = find_equilibria(inst, c.solver.n_starts,
+                             derive_seed(seed, "dynamics-solver"))
     equilibria = {
         "n_found": report.n_found,
         "n_starts": report.n_starts,
@@ -506,9 +499,8 @@ def _run_dynamics(c: Dynamics, seed: int, threads: int, strict: bool) -> dict:
                    for pt in report.points],
     }
 
-    rng = stream(derive_seed(seed, "dynamics-starts"), 0)
-    g = rng.standard_normal((c.starts, c.model.n))
-    x0 = math.sqrt(c.model.n) * g / np.linalg.norm(g, axis=1, keepdims=True)
+    x0 = sphere_points(derive_seed(seed, "dynamics-starts"), c.starts,
+                       c.model.n)
     results = run_to_equilibrium_batch(inst, x0, c, report)
     rows = [[i, r.converged, r.t, r.lam, r.v_norm,
              "" if r.matched is None else r.matched]
@@ -542,7 +534,7 @@ def _run_transition_curve(c: TransitionCurve, seed: int, threads: int,
                asym.regime, asym.value]
         if c.mc_instances > 0:
             res = mc_mean_count(replace(c.model, sigma=sigma), c.mc_instances,
-                                SolverOptions(c.solver.n_starts),
+                                c.solver.n_starts,
                                 seed=derive_seed(seed, f"curve-{i}"),
                                 strict=strict, threads=threads)
             n_unsat += res.n_unsaturated
@@ -590,7 +582,6 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
         "config": cfg.canonical(),
         "config_hash": cfg.config_hash(),
         "master_seed": cfg.seed,
-        "unknown_keys_ignored": cfg.unknown_keys,
         "versions": {"sphere_equilibria": __version__,
                      "numpy": np.__version__,
                      "python": sys.version.split()[0]},
@@ -621,12 +612,12 @@ def main(argv=None) -> int:
                       help="worker threads for instance-parallel Monte Carlo")
     runp.add_argument("--out-dir", default=None, help="artifact directory")
     runp.add_argument("--strict", action="store_true",
-                      help="reject unknown config keys; exclude and flag "
-                           "non-saturated Monte Carlo instances (exit 4)")
+                      help="exclude non-saturated Monte Carlo instances "
+                           "from the statistics and exit 4 if there are any")
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config, strict=args.strict)
+        cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         code, _ = run(cfg, out_dir=args.out_dir, threads=args.threads,

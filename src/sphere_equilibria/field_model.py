@@ -37,11 +37,7 @@ _W1_STREAM, _W2_STREAM, _WH_STREAM = 0, 1, 2
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The six scalars defining the random ensemble.
-
-    ``field_free=True`` permits the degenerate j1 = j2 = 0 case (pure
-    magnetic-field dynamics); otherwise the coupling field must be present.
-    """
+    """The six scalars defining the random ensemble."""
 
     n: int
     j1: float = 1.0
@@ -49,7 +45,6 @@ class ModelParams:
     alpha1: float = 0.0
     alpha2: float = 0.0
     sigma: float = 0.0
-    field_free: bool = False
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -61,9 +56,11 @@ class ModelParams:
         for name in ("alpha1", "alpha2"):
             if not np.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite")
-        if self.j1 == 0.0 and self.j2 == 0.0 and not self.field_free:
-            raise ParameterError(
-                "j1 = j2 = 0 requires field_free=True (degenerate coupling field)")
+
+    @property
+    def field_free(self) -> bool:
+        """No coupling field (j1 = j2 = 0): the flow is the magnetic field's."""
+        return self.j1 == 0.0 and self.j2 == 0.0
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,16 @@ heuristic flags instances whose discovery curve was still rising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_seed, stream
+from ._rng import derive_seed, sphere_points
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import FieldInstance, ModelParams, covariance_pair, sample_field
 from .predictor import derived_params, mean_total_exact, predict_asymptotic
 
 __all__ = [
-    "SolverOptions",
     "EquilibriumPoint",
     "CountReport",
     "MCCountResult",
@@ -52,22 +51,6 @@ _TOL = 1e-10
 _MAX_ITER = 80
 _MAX_HALVINGS = 30
 _MAX_DIM = 10
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Multi-start Newton controls.
-
-    `n_starts=None` budgets 200 starts per predicted equilibrium (capped at
-    10^4); `seed` keys the Philox stream of the start points.
-    """
-
-    n_starts: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts is not None and self.n_starts < 1:
-            raise ParameterError(f"n_starts must be >= 1, got {self.n_starts}")
 
 
 @dataclass
@@ -155,16 +138,16 @@ def _field_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray,
     return f
 
 
-def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
-                    ) -> CountReport:
+def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
+                    seed: int = 0) -> CountReport:
     """Enumerate equilibria of one field instance.
 
-    Initial points are uniform on the sphere with the Lagrange multiplier
-    seeded from its closed form; an instance is `saturated` when the last
-    quarter of the starts discovered nothing new.  Non-saturation is reported
-    in the flag, never raised.
+    `n_starts` initial points (None: `default_n_starts`) are uniform on the
+    sphere, drawn from the Philox stream keyed by `seed`, with the Lagrange
+    multiplier seeded from its closed form; an instance is `saturated` when
+    the last quarter of the starts discovered nothing new.  Non-saturation is
+    reported in the flag, never raised.
     """
-    opts = opts or SolverOptions()
     n = inst.n
     if n > _MAX_DIM:
         raise ParameterError(
@@ -172,15 +155,13 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
     if inst.params.field_free and inst.params.sigma == 0.0:
         raise ParameterError("f = 0 and h = 0: every point of the sphere is "
                              "an equilibrium, enumeration is meaningless")
-
-    n_starts = opts.n_starts
     if n_starts is None:
         n_starts = default_n_starts(inst.params)
+    if n_starts < 1:
+        raise ParameterError(f"n_starts must be >= 1, got {n_starts}")
     radius = 1e-6 * math.sqrt(n)
 
-    rng = stream(opts.seed, 0)
-    g = rng.standard_normal((n_starts, n))
-    x = math.sqrt(n) * g / np.linalg.norm(g, axis=1, keepdims=True)
+    x = sphere_points(seed, n_starts, n)
     lam = (x * inst.drift(x)).sum(axis=1) / n
 
     eye = np.eye(n)
@@ -261,7 +242,7 @@ def find_equilibria(inst: FieldInstance, opts: SolverOptions | None = None
     points.sort(key=lambda pt: (pt.lam, tuple(pt.x)))
     return CountReport(n_found=len(points), points=points, n_starts=n_starts,
                        dedup_radius=radius, saturated=bool(saturated),
-                       seed=opts.seed,
+                       seed=seed,
                        n_converged_starts=int(converged.sum()))
 
 
@@ -345,16 +326,18 @@ class MCCountResult:
 
 
 def mc_mean_count(params: ModelParams, n_instances: int,
-                  opts: SolverOptions | None = None, seed: int = 0,
+                  n_starts: int | None = None, seed: int = 0,
                   lambda_edges=None, strict: bool = False,
                   threads: int = 1) -> MCCountResult:
     """Average equilibrium count over independent field instances.
 
-    Instance seeds are derived from `seed` by a stable hash, so enlarging the
-    study never changes earlier instances.  With `strict`, non-saturated
-    instances are excluded from the statistics (they are always recorded).
-    When `lambda_edges` is given, counts are also binned by the Lagrange
-    multiplier of each root.  Instances are independent; `threads` > 1 solves
+    Every instance gets `n_starts` Newton starts (None: one
+    `default_n_starts` budget for the whole sweep, as all instances share
+    `params`).  Instance and start seeds are derived from `seed` by a stable
+    hash, so enlarging the study never changes earlier instances.  With
+    `strict`, non-saturated instances are excluded from the statistics (they
+    are always recorded).  When `lambda_edges` is given, counts are also
+    binned by the Lagrange multiplier of each root.  Instances are independent; `threads` > 1 solves
     them on a thread pool with results merged in instance order, so the
     output does not depend on scheduling.
     """
@@ -362,10 +345,8 @@ def mc_mean_count(params: ModelParams, n_instances: int,
         raise ParameterError("n_instances must be >= 1")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    opts = opts or SolverOptions()
-    if opts.n_starts is None:
-        # one budget for the whole sweep (all instances share the params)
-        opts = replace(opts, n_starts=default_n_starts(params))
+    if n_starts is None:
+        n_starts = default_n_starts(params)
     edges = None if lambda_edges is None else np.asarray(lambda_edges, float)
 
     counts = np.empty(n_instances)
@@ -376,7 +357,7 @@ def mc_mean_count(params: ModelParams, n_instances: int,
 
     def solve_one(i: int) -> CountReport:
         inst = sample_field(params, instance_seeds[i])
-        return find_equilibria(inst, replace(opts, seed=derive_seed(seed, f"starts-{i}")))
+        return find_equilibria(inst, n_starts, derive_seed(seed, f"starts-{i}"))
 
     if threads > 1:
         # imported here: a serial run need not load the pool and its logging

@@ -27,8 +27,7 @@ from sphere_equilibria.predictor import (DerivedParams, asympt_fixed,
                                          mean_total_exact,
                                          validate_det_identity,
                                          weak_nongradient)
-from sphere_equilibria.search import SolverOptions, find_equilibria, \
-    mc_mean_count
+from sphere_equilibria.search import find_equilibria, mc_mean_count
 
 QUADRATIC_MODEL = dict(j1=1.0, j2=1.0, alpha1=0.3, alpha2=0.2)
 
@@ -119,8 +118,7 @@ def test_criterion_04_brute_force_vs_theory():
         dp = derived_params(cov, float(sigma))
         pred = mean_total_exact(dp, 4)
         edges = dp.lambda_scale * np.linspace(-3.0, 3.0, 7)
-        res = mc_mean_count(params, 500, SolverOptions(), seed=900 + i,
-                            lambda_edges=edges)
+        res = mc_mean_count(params, 500, seed=900 + i, lambda_edges=edges)
         z_mean = (res.mean - pred.value) / res.stderr
         z_bins = []
         for j in range(len(edges) - 1):
@@ -149,8 +147,7 @@ def test_criterion_05_linear_field_oracle():
         p = ModelParams(n=n, j1=1.0, j2=0.0, alpha1=alpha1, sigma=0.0)
         for s in range(16):
             inst = sample_field(p, 10_000 + 100 * total + s)
-            rep = find_equilibria(inst, SolverOptions(n_starts=2500,
-                                                      seed=total))
+            rep = find_equilibria(inst, n_starts=2500, seed=total)
             want = 2 * len(real_eigenvalues(inst.j1_matrix))
             mismatches += rep.n_found != want
             total += 1
@@ -266,8 +263,7 @@ def test_criterion_10_weak_nongradient():
 def test_criterion_11_dynamics():
     """Relaxation accuracy, constraint drift, basin coverage when trivial."""
     # pure-field relaxation
-    inst0 = sample_field(ModelParams(n=4, j1=0.0, j2=0.0, sigma=1.5,
-                                     field_free=True), 7)
+    inst0 = sample_field(ModelParams(n=4, j1=0.0, j2=0.0, sigma=1.5), 7)
     hnorm = float(np.linalg.norm(inst0.h))
     rate = hnorm / 2.0
     rng = np.random.default_rng(12)
@@ -287,7 +283,7 @@ def test_criterion_11_dynamics():
     sigma_c = derived_params(cov, 0.0).sigma_c
     params = ModelParams(n=4, sigma=3.0 * sigma_c, **QUADRATIC_MODEL)
     inst = sample_field(params, 6)
-    rep = find_equilibria(inst, SolverOptions(seed=2))
+    rep = find_equilibria(inst, seed=2)
     two_ok = rep.n_found == 2
     g = np.random.default_rng(77).standard_normal((1000, 4))
     starts = 2.0 * g / np.linalg.norm(g, axis=1, keepdims=True)

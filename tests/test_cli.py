@@ -93,6 +93,14 @@ MALFORMED = {
                            "sigma_grid": [0.0]}, "config.model.sigma"),
     "sweep-model-n": ({**SWEEP, "model": {"j1": 1.0, "n": 50},
                        "sigma_grid": [0.0]}, "config.model.n"),
+    # unknown keys, at the top level too; the couplings decide field_free
+    "unknown-top-level-key": ({**SWEEP, "sigma_grid": [0.0], "extra_knob": 1},
+                              "extra_knob"),
+    "field-free-flag-mc": ({**MC, "model": {"n": 4, "j1": 1, "j2": 1,
+                                            "field_free": True, "sigma": 0.5}},
+                           "field_free"),
+    "field-free-flag-sweep": ({**SWEEP, "model": {"j1": 1.0, "field_free": True},
+                               "sigma_grid": [0.0]}, "field_free"),
 }
 
 
@@ -115,13 +123,6 @@ class TestParseConfig:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ParameterError, match="kind"):
             parse_config(write_config(tmp_path, {"kind": "nope"}))
-
-    def test_unknown_keys_strict_vs_lenient(self, tmp_path):
-        path = write_config(tmp_path, {**MINIMAL_SWEEP, "extra_knob": 1})
-        cfg = parse_config(path)
-        assert cfg.unknown_keys == ["extra_knob"]
-        with pytest.raises(ParameterError, match="extra_knob"):
-            parse_config(path, strict=True)
 
     def test_exceptional_model_rejected(self, tmp_path):
         # b^2 + tau = 0 at sigma = 0: the derived-parameter gate propagates

@@ -13,7 +13,7 @@ from sphere_equilibria.dynamics import (DynamicsOptions, default_dt,
 from sphere_equilibria.errors import (DomainError, NumericalError,
                                       ParameterError)
 from sphere_equilibria.field_model import ModelParams, sample_field
-from sphere_equilibria.search import SolverOptions, find_equilibria
+from sphere_equilibria.search import find_equilibria
 
 
 def sphere_point(n, seed):
@@ -23,8 +23,7 @@ def sphere_point(n, seed):
 
 
 def field_free_instance(n=4, sigma=1.5, seed=7):
-    return sample_field(ModelParams(n=n, j1=0, j2=0, sigma=sigma,
-                                    field_free=True), seed)
+    return sample_field(ModelParams(n=n, j1=0, j2=0, sigma=sigma), seed)
 
 
 class TestLambdaOfState:
@@ -35,8 +34,7 @@ class TestLambdaOfState:
         assert_allclose(lambda_of_state(inst, x), hnorm / 2.0, rtol=1e-12)
 
     def test_zero_everything(self):
-        inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0,
-                                        field_free=True), 1)
+        inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0), 1)
         assert lambda_of_state(inst, sphere_point(4, 0)) == 0.0
 
     def test_off_sphere_rejected(self):
@@ -47,7 +45,7 @@ class TestLambdaOfState:
     def test_matches_solver_multiplier_at_roots(self):
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.8)
         inst = sample_field(p, 4)
-        rep = find_equilibria(inst, SolverOptions(seed=2))
+        rep = find_equilibria(inst, seed=2)
         for pt in rep.points:
             assert abs(lambda_of_state(inst, pt.x) - pt.lam) < 1e-8
 
@@ -110,7 +108,7 @@ class TestRunToEquilibrium:
     def test_matches_counted_equilibria_in_trivial_regime(self):
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=3.2)
         inst = sample_field(p, 6)
-        report = find_equilibria(inst, SolverOptions(seed=1))
+        report = find_equilibria(inst, seed=1)
         assert report.n_found == 2
         rng = np.random.default_rng(0)
         g = rng.standard_normal((100, 4))
@@ -123,7 +121,7 @@ class TestRunToEquilibrium:
     def test_gradient_flow_converges(self):
         p = ModelParams(n=4, j1=1, j2=1, alpha1=1.0, alpha2=1.0, sigma=0.3)
         inst = sample_field(p, 8)
-        report = find_equilibria(inst, SolverOptions(n_starts=4000, seed=2))
+        report = find_equilibria(inst, n_starts=4000, seed=2)
         for s in range(10):
             (res,) = run_to_equilibrium_batch(
                 inst, sphere_point(4, 50 + s)[None], DynamicsOptions(), report)
@@ -147,8 +145,7 @@ class TestRunToEquilibrium:
         assert np.linalg.norm(velocity(inst, res.x)) <= 1e-6
 
     def test_default_dt_requires_scale(self):
-        inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0,
-                                        field_free=True), 1)
+        inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0), 1)
         with pytest.raises(ParameterError):
             default_dt(inst)
 
@@ -190,7 +187,7 @@ def test_batch_pinned_bit_for_bit():
     sigma_c = math.sqrt(3.25 - 2.17)  # Phi1'(1) - Phi1(1) of this model
     p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma_c)
     inst = sample_field(p, 2)
-    report = find_equilibria(inst, SolverOptions(seed=1))
+    report = find_equilibria(inst, seed=1)
     assert report.n_found == 8
     g = np.random.default_rng(11).standard_normal((12, 4))
     x0 = 2.0 * g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -32,13 +32,17 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(n=4, sigma=-0.1)
 
-    def test_degenerate_needs_flag(self):
-        with pytest.raises(ParameterError):
-            ModelParams(n=4, j1=0.0, j2=0.0)
-        ModelParams(n=4, j1=0.0, j2=0.0, sigma=1.0, field_free=True)
+    def test_field_free_follows_the_couplings(self):
+        # j1 = j2 = 0 is the field-free model; no flag can contradict it
+        assert ModelParams(n=4, j1=0.0, j2=0.0).field_free
+        assert ModelParams(n=4, j1=0.0, sigma=1.0).field_free
+        assert not ModelParams(n=4, j1=0.0, j2=1.0).field_free
+        assert not ModelParams(n=4).field_free
+        with pytest.raises(TypeError, match="field_free"):
+            ModelParams(n=4, j1=1.0, j2=1.0, field_free=True)
 
     def test_field_free_has_no_covariance(self):
-        p = ModelParams(n=4, j1=0.0, j2=0.0, sigma=1.0, field_free=True)
+        p = ModelParams(n=4, j1=0.0, j2=0.0, sigma=1.0)
         with pytest.raises(ParameterError):
             covariance_pair(p)
 

@@ -12,7 +12,7 @@ import pytest
 
 import sphere_equilibria
 from sphere_equilibria import (CountPrediction, FixedAsymptote, ModelParams,
-                               RunResult, search)
+                               RunResult, cli, search)
 
 MODULES = [sphere_equilibria] + [
     importlib.import_module(f"sphere_equilibria.{info.name}")
@@ -35,7 +35,12 @@ def test_one_public_name_per_job():
     assert not hasattr(FixedAsymptote, "value")
     assert "interval" not in {f.name for f in fields(CountPrediction)}
     assert "status" not in {f.name for f in fields(RunResult)}
-    # replaced by `real_eigenvalue_histogram`, batch calls and test helpers
+    # the couplings decide field_free, and every unknown config key is an
+    # error
+    assert "field_free" not in {f.name for f in fields(ModelParams)}
+    assert "unknown_keys" not in {f.name for f in fields(cli.ExperimentConfig)}
+    # replaced by `real_eigenvalue_histogram`, batch calls, test helpers and
+    # the `n_starts` and `seed` arguments of the solver
     for name in ("DensityProfile", "sample_elliptic", "hermite_tau",
-                 "run_to_equilibrium"):
+                 "run_to_equilibrium", "SolverOptions"):
         assert not any(hasattr(m, name) for m in MODULES), name

@@ -16,20 +16,18 @@ from sphere_equilibria._rng import derive_seed
 from sphere_equilibria.elliptic import real_eigenvalues
 from sphere_equilibria.errors import DomainError, NumericalError, ParameterError
 from sphere_equilibria.field_model import ModelParams, sample_field
-from sphere_equilibria.search import (SolverOptions, default_n_starts,
-                                      find_equilibria, mc_mean_count,
-                                      tangent_spectrum_at)
+from sphere_equilibria.search import (default_n_starts, find_equilibria,
+                                      mc_mean_count, tangent_spectrum_at)
 
 
 def field_free_instance(n=4, sigma=1.5, seed=7):
-    return sample_field(ModelParams(n=n, j1=0, j2=0, sigma=sigma,
-                                    field_free=True), seed)
+    return sample_field(ModelParams(n=n, j1=0, j2=0, sigma=sigma), seed)
 
 
 class TestFieldFree:
     def test_exactly_two_roots_on_the_field_axis(self):
         inst = field_free_instance()
-        rep = find_equilibria(inst, SolverOptions(n_starts=200, seed=1))
+        rep = find_equilibria(inst, n_starts=200, seed=1)
         assert rep.n_found == 2
         hnorm = np.linalg.norm(inst.h)
         xplus = 2.0 * inst.h / hnorm
@@ -42,7 +40,7 @@ class TestFieldFree:
     def test_tangent_spectra_uniform_contraction(self):
         # +root: all tangent rates -|h|/sqrt(N); -root: all +|h|/sqrt(N)
         inst = field_free_instance()
-        rep = find_equilibria(inst, SolverOptions(n_starts=200, seed=1))
+        rep = find_equilibria(inst, n_starts=200, seed=1)
         rate = np.linalg.norm(inst.h) / 2.0
         by_lam = sorted(rep.points, key=lambda pt: pt.lam)
         assert_allclose(by_lam[0].tangent_spectrum,
@@ -50,9 +48,19 @@ class TestFieldFree:
         assert_allclose(by_lam[1].tangent_spectrum,
                         np.full(3, -rate), rtol=1e-9)
 
+    def test_couplings_alone_make_it_field_free(self):
+        # no flag: j1 = j2 = 0 budgets 200 starts for each of the two roots
+        # +-sqrt(N) h/|h|, and finds exactly those
+        p = ModelParams(n=4, j1=0.0, sigma=1.5)
+        inst = sample_field(p, 7)
+        rep = find_equilibria(inst, seed=1)
+        assert p.field_free and rep.n_starts == 400 and rep.n_found == 2
+        xplus = 2.0 * inst.h / np.linalg.norm(inst.h)
+        assert_allclose([pt.x for pt in rep.points], [-xplus, xplus],
+                        atol=1e-8)
+
     def test_degenerate_sphere_rejected(self):
-        inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0,
-                                        field_free=True), 1)
+        inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0), 1)
         with pytest.raises(ParameterError):
             find_equilibria(inst)
 
@@ -64,19 +72,19 @@ class TestLinearFieldOracle:
     def test_count_is_twice_real_spectrum(self, n, alpha1, seed):
         p = ModelParams(n=n, j1=1.0, j2=0.0, alpha1=alpha1, sigma=0.0)
         inst = sample_field(p, 100 + seed)
-        rep = find_equilibria(inst, SolverOptions(n_starts=2000, seed=seed))
+        rep = find_equilibria(inst, n_starts=2000, seed=seed)
         assert rep.n_found == 2 * len(real_eigenvalues(inst.j1_matrix))
 
     def test_symmetric_coupling_gives_2n(self):
         p = ModelParams(n=6, j1=1.0, j2=0.0, alpha1=1.0, sigma=0.0)
         inst = sample_field(p, 17)
-        rep = find_equilibria(inst, SolverOptions(n_starts=2000, seed=5))
+        rep = find_equilibria(inst, n_starts=2000, seed=5)
         assert rep.n_found == 12
 
     def test_roots_are_eigenvectors(self):
         p = ModelParams(n=4, j1=1.0, j2=0.0, alpha1=0.4, sigma=0.0)
         inst = sample_field(p, 23)
-        rep = find_equilibria(inst, SolverOptions(n_starts=1000, seed=3))
+        rep = find_equilibria(inst, n_starts=1000, seed=3)
         evals = real_eigenvalues(inst.j1_matrix)
         for pt in rep.points:
             assert min(abs(pt.lam - evals)) < 1e-9
@@ -86,7 +94,7 @@ class TestReportInvariants:
     def make_report(self, sigma=0.5, seed=11):
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma)
         inst = sample_field(p, seed)
-        return inst, find_equilibria(inst, SolverOptions(seed=2))
+        return inst, find_equilibria(inst, seed=2)
 
     def test_residual_and_constraint_bounds(self):
         inst, rep = self.make_report()
@@ -120,7 +128,7 @@ class TestReportInvariants:
         inst, rep = self.make_report()
         scaled = sample_field(dataclasses.replace(inst.params, j1=2.0, j2=2.0,
                                                   sigma=1.0), inst.seed)
-        rep2 = find_equilibria(scaled, SolverOptions(seed=2))
+        rep2 = find_equilibria(scaled, seed=2)
         assert rep2.n_found == rep.n_found
         for a, b in zip(rep.points, rep2.points):
             assert np.linalg.norm(a.x - b.x) < 1e-8
@@ -132,8 +140,8 @@ class TestReportInvariants:
         changed = 0
         for s in range(30):
             inst = sample_field(p, 300 + s)
-            a = find_equilibria(inst, SolverOptions(n_starts=1500, seed=1))
-            b = find_equilibria(inst, SolverOptions(n_starts=3000, seed=2))
+            a = find_equilibria(inst, n_starts=1500, seed=1)
+            b = find_equilibria(inst, n_starts=3000, seed=2)
             changed += a.n_found != b.n_found
         assert changed <= 1
 
@@ -141,8 +149,8 @@ class TestReportInvariants:
         # 12 starts on an 8-root instance: discovery curve still rising
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.0)
         inst = sample_field(p, 5)
-        rep = find_equilibria(inst, SolverOptions(n_starts=12, seed=1))
-        full = find_equilibria(inst, SolverOptions(seed=1))
+        rep = find_equilibria(inst, n_starts=12, seed=1)
+        full = find_equilibria(inst, seed=1)
         assert not rep.saturated
         assert rep.n_found < full.n_found
 
@@ -174,7 +182,7 @@ class TestReportInvariants:
     def test_gradient_instance_real_spectrum(self):
         p = ModelParams(n=5, j1=1, j2=1, alpha1=1.0, alpha2=1.0, sigma=0.5)
         inst = sample_field(p, 3)
-        rep = find_equilibria(inst, SolverOptions(n_starts=3000, seed=4))
+        rep = find_equilibria(inst, n_starts=3000, seed=4)
         assert rep.n_found >= 2
         for pt in rep.points:
             assert np.max(np.abs(pt.tangent_spectrum.imag)) < 1e-8
@@ -183,7 +191,7 @@ class TestReportInvariants:
 @functools.cache
 def pinned_report(n, sigma, seed):
     p = ModelParams(n=n, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma)
-    return find_equilibria(sample_field(p, seed), SolverOptions(seed=seed))
+    return find_equilibria(sample_field(p, seed), seed=seed)
 
 
 class TestPinnedOutputs:
@@ -226,8 +234,8 @@ class TestPinnedOutputs:
                         sigma=1.5588457268119897)
         assert default_n_starts(p) == 788
         inst = sample_field(p, derive_seed(903, "instance-7"))
-        rep = find_equilibria(inst, SolverOptions(
-            n_starts=788, seed=derive_seed(903, "starts-7")))
+        rep = find_equilibria(inst, n_starts=788,
+                              seed=derive_seed(903, "starts-7"))
         assert rep.n_found == 4
         assert [pt.basin_hits for pt in rep.points] == [107, 62, 80, 61]
         assert rep.n_converged_starts == 310
@@ -248,8 +256,7 @@ class TestPinnedOutputs:
         monkeypatch.setattr(search, "_system_residual", counting)
         monkeypatch.setattr(search, "_MAX_HALVINGS", 3)
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
-        rep = find_equilibria(sample_field(p, 0),
-                              SolverOptions(n_starts=40, seed=0))
+        rep = find_equilibria(sample_field(p, 0), n_starts=40, seed=0)
         assert rep.n_found == 10
         assert [pt.basin_hits for pt in rep.points] == [1, 3, 3, 5, 1, 6, 3, 2,
                                                         1, 4]
@@ -268,8 +275,8 @@ class TestPinnedOutputs:
         roots, residuals = hashlib.sha256(), hashlib.sha256()
         for n_starts in (1, 2):
             for seed in range(40):
-                rep = find_equilibria(sample_field(p, seed), SolverOptions(
-                    n_starts=n_starts, seed=seed))
+                rep = find_equilibria(sample_field(p, seed),
+                                      n_starts=n_starts, seed=seed)
                 for pt in rep.points:
                     roots.update(pt.x.tobytes())
                     roots.update(np.float64(pt.lam).tobytes())
@@ -385,7 +392,7 @@ class TestSystemResidual:
         monkeypatch.setattr(search, "_solve_batch", poisoned)
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
         with pytest.raises(ParameterError, match="finite"):
-            find_equilibria(sample_field(p, 1), SolverOptions(n_starts=20))
+            find_equilibria(sample_field(p, 1), n_starts=20)
 
 
 class TestStartBudget:
@@ -419,23 +426,19 @@ class TestStartBudget:
         with pytest.raises(ValueError, match="not a package error"):
             default_n_starts(ModelParams(n=4, **self.PARAMS))
 
-    def test_solver_options_hold_only_the_budget_and_seed(self):
-        assert ([f.name for f in dataclasses.fields(SolverOptions)]
-                == ["n_starts", "seed"])
-
     @pytest.mark.parametrize("n_starts", [0, -5])
     def test_nonpositive_budget_rejected(self, n_starts):
         # 0 used to report an unsaturated empty count, -5 a numpy ValueError
         inst = sample_field(ModelParams(n=4, j1=1.0, sigma=1.0), 3)
         with pytest.raises(ParameterError, match="n_starts"):
-            find_equilibria(inst, SolverOptions(n_starts=n_starts))
+            find_equilibria(inst, n_starts=n_starts)
 
 
 class TestMCCount:
     def test_deterministic_and_threaded_identical(self):
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=1.5)
-        a = mc_mean_count(p, 12, SolverOptions(), seed=5)
-        b = mc_mean_count(p, 12, SolverOptions(), seed=5, threads=3)
+        a = mc_mean_count(p, 12, seed=5)
+        b = mc_mean_count(p, 12, seed=5, threads=3)
         assert a.mean == b.mean and a.stderr == b.stderr
         assert np.array_equal(a.counts, b.counts)
 
@@ -443,12 +446,12 @@ class TestMCCount:
     def test_threads_below_one_rejected(self, threads):
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=1.5)
         with pytest.raises(ParameterError, match="threads"):
-            mc_mean_count(p, 2, SolverOptions(n_starts=10), threads=threads)
+            mc_mean_count(p, 2, n_starts=10, threads=threads)
 
     def test_histogram_half_line_symmetry(self):
         # prediction integrand is even: counts on [0, inf) are ~half
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
-        res = mc_mean_count(p, 60, SolverOptions(), seed=8,
+        res = mc_mean_count(p, 60, seed=8,
                             lambda_edges=[-50.0, 0.0, 50.0])
         lo, hi = res.histogram_mean
         se = math.hypot(*res.histogram_stderr)
@@ -457,7 +460,7 @@ class TestMCCount:
     def test_deep_trivial_mean_is_two(self):
         # far past the transition the average count sits at the floor of 2
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=3.2)
-        res = mc_mean_count(p, 40, SolverOptions(), seed=21)
+        res = mc_mean_count(p, 40, seed=21)
         assert abs(res.mean - 2.0) <= 3 * res.stderr + 1e-12
 
     def test_linear_family_matches_elliptic_count(self):
@@ -465,14 +468,14 @@ class TestMCCount:
         # real Ginibre draw, so mean count = 2 x mean #real eigenvalues
         from sphere_equilibria.elliptic import EllipticParams, mean_real_count
         p = ModelParams(n=4, j1=1.0, j2=0.0, alpha1=0.0, sigma=0.0)
-        res = mc_mean_count(p, 60, SolverOptions(n_starts=1500), seed=14)
+        res = mc_mean_count(p, 60, n_starts=1500, seed=14)
         ref_mean, ref_se = mean_real_count(EllipticParams(4, 0.0), 50_000, 9)
         se = math.hypot(res.stderr, 2 * ref_se)
         assert abs(res.mean - 2 * ref_mean) <= 3 * se
 
     def test_strict_excludes_unsaturated(self):
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.0)
-        res = mc_mean_count(p, 8, SolverOptions(n_starts=6), seed=3,
+        res = mc_mean_count(p, 8, n_starts=6, seed=3,
                             strict=True)
         assert res.n_excluded == res.n_unsaturated > 0
 
