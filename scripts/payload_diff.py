@@ -54,6 +54,11 @@ SMALL = {
                       "lambdas": [0.0, 1.0], "trials": 2000}, 7),
     "dynamics": ({"kind": "dynamics", "model": MODEL4, "starts": 20,
                   "t_max": 3.0}, 7),
+    # no couplings: `default_dt` takes its field-free branch, sigma alone
+    "dynamics-field-free": ({"kind": "dynamics",
+                             "model": {"n": 4, "j1": 0.0, "j2": 0.0,
+                                       "sigma": 1.5},
+                             "starts": 20}, 7),
     "transition-curve": ({"kind": "transition-curve",
                           "model": {"j1": 1.0, "j2": 1.0, "alpha1": 0.3,
                                     "alpha2": 0.2},

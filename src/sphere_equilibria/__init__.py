@@ -8,8 +8,8 @@ density, including its four large-N regimes around the topology
 trivialization transition.
 """
 
-from .dynamics import (DynamicsOptions, RunResult, Trajectory, integrate,
-                       lambda_of_state, run_to_equilibrium_batch)
+from .dynamics import (RunResult, Trajectory, integrate, lambda_of_state,
+                       run_to_equilibrium_batch)
 from .elliptic import (EllipticParams, expected_real_count,
                        log_rho_real_exact, mean_real_count,
                        real_eigenvalue_histogram, real_eigenvalue_values,
@@ -52,7 +52,7 @@ __all__ = [
     "EquilibriumPoint", "CountReport", "MCCountResult",
     "find_equilibria", "tangent_spectrum_at", "mc_mean_count",
     # dynamics
-    "Trajectory", "DynamicsOptions", "RunResult", "lambda_of_state",
+    "Trajectory", "RunResult", "lambda_of_state",
     "integrate", "run_to_equilibrium_batch",
     # errors
     "ParameterError", "DomainError", "NumericalError",

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import derive_seed, sphere_points
-from .dynamics import DynamicsOptions, run_to_equilibrium_batch
+from .dynamics import run_to_equilibrium_batch
 from .elliptic import (EllipticParams, expected_counts_in_bins,
                        expected_real_count, mean_real_count,
                        real_eigenvalue_histogram, rho_real_exact,
@@ -115,6 +115,16 @@ def _at_least(spec, **bounds) -> None:
             raise ParameterError(f"{name} must be >= {lo}, got {getattr(spec, name)}")
 
 
+def _finite_b2(model: ModelParams) -> None:
+    """Raise if a coupled model's b^2, which sets the start budget and the
+    prediction, overflows; an exceptional model runs with no prediction."""
+    if not model.field_free:
+        try:
+            derived_params(covariance_pair(model), model.sigma)
+        except DomainError:
+            pass
+
+
 @dataclass(frozen=True)
 class Solver:
     """A config's `solver` object; start seeds derive from the master seed."""
@@ -178,6 +188,7 @@ class MCCount:
 
     def __post_init__(self):
         _at_least(self, instances=1, lambda_bins=1)
+        _finite_b2(self.model)
 
 
 @dataclass(frozen=True)
@@ -208,18 +219,21 @@ class DetIdentity:
         _at_least(self, trials=100)
 
 
-@dataclass(frozen=True, kw_only=True)
-class Dynamics(DynamicsOptions):
+@dataclass(frozen=True)
+class Dynamics:
     """`dynamics`: one instance's equilibria, then `starts` RK4 runs."""
 
     model: ModelParams
     starts: int
     solver: Solver = Solver()
     instance_seed: int | None = None
+    t_max: float | None = None
 
     def __post_init__(self):
-        super().__post_init__()
         _at_least(self, starts=1)
+        if self.t_max is not None and not self.t_max > 0:
+            raise ParameterError(f"t_max must be positive, got {self.t_max}")
+        _finite_b2(self.model)
 
 
 @dataclass(frozen=True)
@@ -277,7 +291,6 @@ class ExperimentConfig:
     kind: str
     spec: typing.Any  # the kind's schema dataclass
     seed: int
-    out_dir: str | None = None
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, **asdict(self.spec)}
@@ -308,10 +321,9 @@ def parse_config(path) -> ExperimentConfig:
             f"field 'kind' must be one of {', '.join(_EXPERIMENTS)}; got {kind!r}")
     spec = _from_fields(_EXPERIMENTS[kind][0],
                         {k: v for k, v in raw.items()
-                         if k not in ("kind", "seed", "out_dir")}, "config")
+                         if k not in ("kind", "seed")}, "config")
     return ExperimentConfig(kind=kind, spec=spec,
-                            seed=_get(raw, "seed", int, 0, "config"),
-                            out_dir=_get(raw, "out_dir", str, None, "config"))
+                            seed=_get(raw, "seed", int, 0, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +397,7 @@ def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
         try:
             dp = derived_params(covariance_pair(c.model), c.model.sigma)
             pred = mean_total_exact(dp, c.model.n)
-        except (DomainError, ParameterError):
+        except DomainError:  # no exact prediction for this model
             pass
     scale = dp.lambda_scale if dp is not None else 1.0
     edges = np.linspace(-3.0 * scale, 3.0 * scale, c.lambda_bins + 1)
@@ -501,7 +513,7 @@ def _run_dynamics(c: Dynamics, seed: int, threads: int, strict: bool) -> dict:
 
     x0 = sphere_points(derive_seed(seed, "dynamics-starts"), c.starts,
                        c.model.n)
-    results = run_to_equilibrium_batch(inst, x0, c, report)
+    results = run_to_equilibrium_batch(inst, x0, report, c.t_max)
     rows = [[i, r.converged, r.t, r.lam, r.v_norm,
              "" if r.matched is None else r.matched]
             for i, r in enumerate(results)]
@@ -569,7 +581,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
         strict: bool = False) -> tuple[int, dict]:
     """Execute a validated config; returns (exit code, manifest).  Artifacts
     are written once the body returns them all: a failed run writes none."""
-    out = out_dir or cfg.out_dir or f"{cfg.kind}-out"
+    out = out_dir or f"{cfg.kind}-out"
     t0 = time.time()
     artifacts = _EXPERIMENTS[cfg.kind][1](cfg.spec, cfg.seed, threads, strict)
     for name, data in artifacts.items():

@@ -23,7 +23,6 @@ from .search import CountReport
 
 __all__ = [
     "Trajectory",
-    "DynamicsOptions",
     "RunResult",
     "lambda_of_state",
     "velocity",
@@ -59,8 +58,9 @@ def default_dt(inst: FieldInstance) -> float:
     p = inst.params
     dphi1 = 0.0 if p.field_free else covariance_pair(p).dphi1(1.0)
     scale = math.sqrt(dphi1 + p.sigma ** 2)
-    if scale == 0.0:
-        raise ParameterError("no field scale: provide dt explicitly")
+    if not 0.0 < scale < math.inf:
+        raise ParameterError(f"the field scale sqrt(Phi1'(1) + sigma^2) = "
+                             f"{scale} sets no time step")
     return 0.01 / scale
 
 
@@ -69,7 +69,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     lambdas: np.ndarray
-    speeds: np.ndarray
     constraint_drift: float
 
 
@@ -109,14 +108,13 @@ def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
         raise ParameterError("dt and t_end must be positive")
     x = _check_start(inst, x0).reshape(1, inst.n)
     steps = int(math.ceil(t_end / dt))
-    times, states, lambdas, speeds = [], [], [], []
+    times, states, lambdas = [], [], []
     drift = 0.0
 
     def record(t, x):
         times.append(t)
         states.append(x[0].copy())
         lambdas.append((x * inst.drift(x)).sum() / inst.n)
-        speeds.append(np.linalg.norm(velocity(inst, x)))
 
     record(0.0, x)
     for i in range(1, steps + 1):
@@ -129,30 +127,13 @@ def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
         drift = max(drift, abs(r2 - 1.0))
         record(i * dt, x)
     return Trajectory(times=np.array(times), states=np.array(states),
-                      lambdas=np.array(lambdas), speeds=np.array(speeds),
-                      constraint_drift=float(drift))
+                      lambdas=np.array(lambdas), constraint_drift=float(drift))
 
 
-@dataclass(frozen=True)
-class DynamicsOptions:
-    """RK4 controls: `dt=None` takes `default_dt`, `t_max=None` 8000 dt."""
-
-    dt: float | None = None
-    t_max: float | None = None
-    v_tol: float = 1e-8
-
-    def __post_init__(self):
-        # a negative dt would integrate backward and report convergence at a
-        # negative time; a nonpositive t_max would take no step at all; no
-        # row can pass a nonpositive v_tol
-        for name in ("dt", "t_max", "v_tol"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ParameterError(f"{name} must be positive, got {v}")
-
-
-# RK4 steps between velocity checks of `run_to_equilibrium_batch`
+# RK4 steps between velocity checks of `run_to_equilibrium_batch`, and the
+# velocity norm at which a row has converged
 _CHECK_EVERY = 8
+_V_TOL = 1e-8
 
 
 @dataclass
@@ -166,11 +147,10 @@ class RunResult:
 
 
 def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
-                             opts: DynamicsOptions | None = None,
-                             report: CountReport | None = None
-                             ) -> list[RunResult]:
-    """Integrate each row of x0s (shared time grid) until its velocity norm
-    drops below `v_tol` or time runs out.
+                             report: CountReport | None = None,
+                             t_max: float | None = None) -> list[RunResult]:
+    """Integrate each row of x0s in RK4 steps of `default_dt` until its
+    velocity norm falls to `_V_TOL` (1e-8) or `t_max` (None: 8000 steps) ends.
 
     Convergence is detected on the velocity, not on state differences, to
     avoid false positives on slowly drifting manifolds.  Non-relaxational
@@ -181,10 +161,11 @@ def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
     the report's dedup radius: `matched` is the index of the first point of
     `report.points` within that radius.
     """
-    opts = opts or DynamicsOptions()
-    dt = opts.dt if opts.dt is not None else default_dt(inst)
-    # 8000 default-sized steps = 80 units of the slowest field scale
-    t_max = opts.t_max if opts.t_max is not None else 8000.0 * dt
+    dt = default_dt(inst)
+    # 8000 steps = 80 units of the slowest field scale
+    t_max = 8000.0 * dt if t_max is None else t_max
+    if not t_max > 0:  # a nonpositive t_max would take no step at all
+        raise ParameterError(f"t_max must be positive, got {t_max}")
     x_end = _check_start(inst, x0s).copy()
     t_done = np.full(len(x_end), np.nan)
     act = np.arange(len(x_end))  # rows still integrating, in row order
@@ -194,7 +175,7 @@ def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
         x = _rk4_step(inst, x, dt)
         if i % _CHECK_EVERY == 0 or i == steps:
             x_end[act] = x
-            done = np.linalg.norm(velocity(inst, x), axis=1) <= opts.v_tol
+            done = np.linalg.norm(velocity(inst, x), axis=1) <= _V_TOL
             t_done[act[done]] = i * dt
             act, x = act[~done], x[~done]
             if not act.size:

@@ -51,8 +51,8 @@ class ModelParams:
             raise ParameterError(f"n must be an integer >= 2, got {self.n}")
         for name in ("j1", "j2", "sigma"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ParameterError(f"{name} must be a nonnegative real, got {v}")
+            if not np.isfinite(v * v) or v < 0:  # the scales enter squared
+                raise ParameterError(f"{name} must be >= 0 with a finite square, got {v}")
         for name in ("alpha1", "alpha2"):
             if not np.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite")

@@ -64,13 +64,17 @@ class EquilibriumPoint:
 
 @dataclass
 class CountReport:
-    n_found: int
     points: list[EquilibriumPoint]
     n_starts: int
     dedup_radius: float
     saturated: bool
     seed: int
     n_converged_starts: int = 0
+
+    @property
+    def n_found(self) -> int:
+        """Number of distinct equilibria: one per point."""
+        return len(self.points)
 
 
 def _expected_count(params: ModelParams) -> float:
@@ -240,9 +244,8 @@ def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
             tangent_spectrum=tangent_spectrum_at(inst, x[r], float(lam[r])),
             basin_hits=hit))
     points.sort(key=lambda pt: (pt.lam, tuple(pt.x)))
-    return CountReport(n_found=len(points), points=points, n_starts=n_starts,
-                       dedup_radius=radius, saturated=bool(saturated),
-                       seed=seed,
+    return CountReport(points=points, n_starts=n_starts, dedup_radius=radius,
+                       saturated=bool(saturated), seed=seed,
                        n_converged_starts=int(converged.sum()))
 
 

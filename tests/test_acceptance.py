@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sphere_equilibria.dynamics import DynamicsOptions, integrate, \
-    run_to_equilibrium_batch
+from sphere_equilibria.dynamics import integrate, run_to_equilibrium_batch
 from sphere_equilibria.elliptic import (EllipticParams,
                                         expected_counts_in_bins,
                                         expected_real_count, mean_real_count,
@@ -287,7 +286,7 @@ def test_criterion_11_dynamics():
     two_ok = rep.n_found == 2
     g = np.random.default_rng(77).standard_normal((1000, 4))
     starts = 2.0 * g / np.linalg.norm(g, axis=1, keepdims=True)
-    results = run_to_equilibrium_batch(inst, starts, DynamicsOptions(), rep)
+    results = run_to_equilibrium_batch(inst, starts, rep)
     matched = sum(r.matched is not None for r in results)
     basin_ok = matched >= 990
     ok = relax_ok and drift_ok and two_ok and basin_ok

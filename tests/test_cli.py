@@ -101,6 +101,24 @@ MALFORMED = {
                            "field_free"),
     "field-free-flag-sweep": ({**SWEEP, "model": {"j1": 1.0, "field_free": True},
                                "sigma_grid": [0.0]}, "field_free"),
+    # the RK4 step and its stop rule are fixed; the CLI flag sets the
+    # artifact directory
+    "dynamics-dt": ({**DYN, "dt": 0.01}, "dt"),
+    "dynamics-v-tol": ({**DYN, "v_tol": 1e-6}, "v_tol"),
+    "top-level-out-dir": ({**DYN, "out_dir": "elsewhere"}, "out_dir"),
+    # a field scale whose square, or b^2, overflows
+    "dynamics-huge-sigma": ({**DYN, "model": {**MODEL4, "sigma": 1e200}},
+                            "sigma"),
+    "dynamics-field-free-huge-sigma": ({**DYN, "model": {"n": 4, "j1": 0.0,
+                                                         "sigma": 1e200}},
+                                       "sigma"),
+    "mc-huge-sigma": ({**MC, "model": {**MODEL4, "sigma": 1e200}}, "sigma"),
+    "mc-field-free-huge-sigma": ({**MC, "model": {"n": 4, "j1": 0.0,
+                                                  "sigma": 1e200}}, "sigma"),
+    "mc-overflowing-b2": ({**MC, "model": {"n": 4, "j1": 1e-100,
+                                           "sigma": 1e60}}, "b^2"),
+    "dynamics-overflowing-b2": ({**DYN, "model": {"n": 4, "j1": 1e-100,
+                                                  "sigma": 1e60}}, "b^2"),
 }
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphere_equilibria.dynamics import (DynamicsOptions, default_dt,
-                                        integrate, lambda_of_state,
+from sphere_equilibria.dynamics import (default_dt, integrate,
+                                        lambda_of_state,
                                         run_to_equilibrium_batch, velocity)
 from sphere_equilibria.errors import (DomainError, NumericalError,
                                       ParameterError)
@@ -101,7 +101,7 @@ class TestIntegrate:
         assert len(traj.times) == 51
         assert_allclose(traj.times, np.arange(51) * 0.01, rtol=1e-12)
         assert traj.states.shape == (51, 4)
-        assert traj.lambdas.shape == traj.speeds.shape == (51,)
+        assert traj.lambdas.shape == (51,)
 
 
 class TestRunToEquilibrium:
@@ -113,8 +113,7 @@ class TestRunToEquilibrium:
         rng = np.random.default_rng(0)
         g = rng.standard_normal((100, 4))
         x0 = 2.0 * g / np.linalg.norm(g, axis=1, keepdims=True)
-        results = run_to_equilibrium_batch(inst, x0, DynamicsOptions(),
-                                           report)
+        results = run_to_equilibrium_batch(inst, x0, report)
         matched = sum(r.matched is not None for r in results)
         assert matched >= 99
 
@@ -124,7 +123,7 @@ class TestRunToEquilibrium:
         report = find_equilibria(inst, n_starts=4000, seed=2)
         for s in range(10):
             (res,) = run_to_equilibrium_batch(
-                inst, sphere_point(4, 50 + s)[None], DynamicsOptions(), report)
+                inst, sphere_point(4, 50 + s)[None], report)
             assert res.converged and res.matched is not None
 
     def test_pure_rotation_reports_no_convergence(self):
@@ -132,35 +131,36 @@ class TestRunToEquilibrium:
         p = ModelParams(n=4, j1=1.0, j2=0.0, alpha1=-1.0, sigma=0.0)
         inst = sample_field(p, 3)
         (res,) = run_to_equilibrium_batch(inst, sphere_point(4, 1)[None],
-                                          DynamicsOptions(t_max=20.0))
+                                          t_max=20.0)
         assert not res.converged
         assert abs(res.lam) < 1e-10
         assert res.v_norm > 1e-3
 
     def test_terminal_residual_small_when_converged(self):
         inst = field_free_instance()
-        (res,) = run_to_equilibrium_batch(inst, sphere_point(4, 4)[None],
-                                          DynamicsOptions())
+        (res,) = run_to_equilibrium_batch(inst, sphere_point(4, 4)[None])
         assert res.converged
         assert np.linalg.norm(velocity(inst, res.x)) <= 1e-6
 
     def test_default_dt_requires_scale(self):
-        inst = sample_field(ModelParams(n=4, j1=0, j2=0, sigma=0.0), 1)
-        with pytest.raises(ParameterError):
-            default_dt(inst)
+        # no field at all, and a Phi1'(1) that overflows
+        for model in (dict(j1=0, j2=0, sigma=0.0),
+                      dict(j1=1, alpha1=1e200, sigma=1.0)):
+            inst = sample_field(ModelParams(n=4, **model), 1)
+            with pytest.raises(ParameterError, match="field scale"):
+                default_dt(inst)
 
-    @pytest.mark.parametrize("opts", [dict(dt=-0.01), dict(dt=0.0),
-                                      dict(t_max=-2.0), dict(t_max=0.0),
-                                      dict(v_tol=0.0), dict(v_tol=-1.0)])
+    @pytest.mark.parametrize("opts", [dict(t_max=-2.0), dict(t_max=0.0),
+                                      dict(t_max=-math.inf),
+                                      dict(t_max=math.nan)])
     def test_nonpositive_time_inputs_rejected(self, opts):
-        # a negative dt would integrate backward and report convergence at
-        # a negative time; a nonpositive t_max would take no step at all; no
-        # row can pass a nonpositive v_tol
+        # a nonpositive t_max would take no step at all, and a NaN one has no
+        # step count
         p = ModelParams(n=4, j1=1, j2=1, sigma=1.0)
         inst = sample_field(p, 1)
         x0 = np.array([[2.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ParameterError, match="positive"):
-            run_to_equilibrium_batch(inst, x0, DynamicsOptions(**opts))
+            run_to_equilibrium_batch(inst, x0, **opts)
 
 
 # run_to_equilibrium_batch on 12 starts at sigma_c, recorded before the RK4
@@ -193,8 +193,7 @@ def test_batch_pinned_bit_for_bit():
     x0 = 2.0 * g / np.linalg.norm(g, axis=1, keepdims=True)
     steps = math.ceil(15.0 / default_dt(inst))
     assert steps == 3122
-    results = run_to_equilibrium_batch(inst, x0, DynamicsOptions(t_max=15.0),
-                                       report)
+    results = run_to_equilibrium_batch(inst, x0, report, t_max=15.0)
     got = [(r.converged, r.t, r.lam, r.v_norm, r.matched) for r in results]
     assert got == PINNED_BATCH
     # reference matcher: the first enumerated point within the dedup radius
@@ -207,7 +206,6 @@ def test_batch_pinned_bit_for_bit():
     twice = replace(report, points=[report.points[7], report.points[6],
                                     report.points[6]])
     ends = np.array([r.x for r in results if r.converged])
-    again = run_to_equilibrium_batch(inst, ends, DynamicsOptions(t_max=15.0),
-                                     twice)
+    again = run_to_equilibrium_batch(inst, ends, twice, t_max=15.0)
     assert [r.matched for r in again] == [
         {6: 1, 7: 0}[r.matched] for r in results if r.converged]

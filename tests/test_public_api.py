@@ -11,8 +11,8 @@ from dataclasses import fields
 import pytest
 
 import sphere_equilibria
-from sphere_equilibria import (CountPrediction, FixedAsymptote, ModelParams,
-                               RunResult, cli, search)
+from sphere_equilibria import (CountPrediction, CountReport, FixedAsymptote,
+                               ModelParams, RunResult, Trajectory, cli, search)
 
 MODULES = [sphere_equilibria] + [
     importlib.import_module(f"sphere_equilibria.{info.name}")
@@ -39,8 +39,14 @@ def test_one_public_name_per_job():
     # error
     assert "field_free" not in {f.name for f in fields(ModelParams)}
     assert "unknown_keys" not in {f.name for f in fields(cli.ExperimentConfig)}
-    # replaced by `real_eigenvalue_histogram`, batch calls, test helpers and
-    # the `n_starts` and `seed` arguments of the solver
+    # the count is the number of points, the CLI flag sets the artifact
+    # directory, and the speed of a recorded step was never read
+    assert "n_found" not in {f.name for f in fields(CountReport)}
+    assert "out_dir" not in {f.name for f in fields(cli.ExperimentConfig)}
+    assert "speeds" not in {f.name for f in fields(Trajectory)}
+    # replaced by `real_eigenvalue_histogram`, batch calls, test helpers,
+    # the `n_starts` and `seed` arguments of the solver and the fixed RK4
+    # step and stop rule
     for name in ("DensityProfile", "sample_elliptic", "hermite_tau",
-                 "run_to_equilibrium", "SolverOptions"):
+                 "run_to_equilibrium", "SolverOptions", "DynamicsOptions"):
         assert not any(hasattr(m, name) for m in MODULES), name
