@@ -4,8 +4,12 @@
         [--workload ...] [--pairs 10] [--seconds 36] [--seed 1] [--trace 0] \
         --out BENCH.json
 
-Pair i runs both checkouts on workload seed `--seed + i`, each from its own
-root with its own `perfbench/`.  The parent runs first in even pairs and the
+The files git tracks in each checkout (`git -C DIR ls-files`, as they are in
+its working tree) are first copied to a fresh temporary directory, and every
+run starts there: build artifacts or caches left in a checkout, and where it
+lies on disk, then weigh on neither side.  Pair i runs both copies on
+workload seed `--seed + i`, each from its own root with its own
+`perfbench/`.  The parent runs first in even pairs and the
 change in odd pairs, so a drift of the machine during the comparison favours
 neither side.  For every metric the output holds each run's value, each
 side's median and quartiles, and how many pairs the change won (ties count
@@ -19,8 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,6 +45,17 @@ def run_once(root: str, workload: str, seed: int, seconds: float,
             "attempted": result["attempted"], "failed": result["failed"],
             "src_lines": meta["src_lines"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def export(root: str, dest: str) -> str:
+    """Copy the files git tracks in `root` to `dest`; returns `dest`."""
+    names = subprocess.run(["git", "-C", root, "ls-files", "-z"],
+                           capture_output=True, check=True).stdout
+    for name in filter(None, names.decode().split("\0")):
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(os.path.join(root, name), target)
+    return dest
 
 
 def quartiles(values: list[float]) -> dict:
@@ -80,35 +97,44 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out) as fh:
             report = json.load(fh)
-    for workload in args.workload:
-        runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                root = getattr(args, side)
-                run = run_once(root, workload, args.seed + i, args.seconds,
-                               args.trace)
-                run.update(pair=i, first=side == order[0])
-                runs[side].append(run)
-                print(f"{workload} pair {i} {side}: "
-                      + " ".join(f"{k}={v:.4g}" for k, v in
-                                 sorted(run["metrics"].items())
-                                 if k in ("wall_s", "setup_s")),
-                      file=sys.stderr, flush=True)
-        key = workload if args.trace == 0 else f"{workload} --trace 1"
-        report[key] = {
-            "workload": workload, "trace": args.trace, "pairs": args.pairs,
-            "seconds": args.seconds, "seeds": [args.seed + i
-                                               for i in range(args.pairs)],
-            "all_correct": all(r["correct"] for side in runs.values()
-                               for r in side),
-            "src_lines": {side: runs[side][0]["src_lines"] for side in runs},
-            "summary": summarize(runs["parent"], runs["change"], better),
-            "runs": runs}
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = {side: export(getattr(args, side), os.path.join(tmp, side))
+                 for side in ("parent", "change")}
+        for workload in args.workload:
+            run_workload(args, workload, roots, better, report)
     return 0
+
+
+def run_workload(args, workload: str, roots: dict, better: dict,
+                 report: dict) -> None:
+    """Run `args.pairs` alternating pairs of `workload` from `roots`, store
+    the summary in `report` and write `report` to `args.out`."""
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_once(roots[side], workload, args.seed + i, args.seconds,
+                           args.trace)
+            run.update(pair=i, first=side == order[0])
+            runs[side].append(run)
+            print(f"{workload} pair {i} {side}: "
+                  + " ".join(f"{k}={v:.4g}" for k, v in
+                             sorted(run["metrics"].items())
+                             if k in ("wall_s", "setup_s")),
+                  file=sys.stderr, flush=True)
+    key = workload if args.trace == 0 else f"{workload} --trace 1"
+    report[key] = {
+        "workload": workload, "trace": args.trace, "pairs": args.pairs,
+        "seconds": args.seconds, "seeds": [args.seed + i
+                                           for i in range(args.pairs)],
+        "all_correct": all(r["correct"] for side in runs.values()
+                           for r in side),
+        "src_lines": {side: runs[side][0]["src_lines"] for side in runs},
+        "summary": summarize(runs["parent"], runs["change"], better),
+        "runs": runs}
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

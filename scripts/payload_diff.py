@@ -28,6 +28,7 @@ PIN = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                               "MKL_NUM_THREADS")}
 MODEL4 = {"n": 4, "j1": 1.0, "j2": 1.0, "alpha1": 0.3, "alpha2": 0.2,
           "sigma": 1.0}
+GRADIENT = {"j1": 1.0, "j2": 1.0, "alpha1": 1.0, "alpha2": 1.0}
 # name -> (config, CLI master seed)
 SMALL = {
     "predict-sweep": ({"kind": "predict-sweep",
@@ -63,6 +64,13 @@ SMALL = {
                           "model": {"j1": 1.0, "j2": 1.0, "alpha1": 0.3,
                                     "alpha2": 0.2},
                           "n": 4, "grid_points": 3, "mc_instances": 2}, 7),
+    # gradient fields (tau = 1); neither grid holds sigma_c, where b^2 = 1
+    "predict-sweep-gradient": ({"kind": "predict-sweep", "model": GRADIENT,
+                                "sigma_grid": [0.0, 1.0, 3.0],
+                                "n_list": [4, 100]}, 7),
+    "transition-curve-gradient": ({"kind": "transition-curve",
+                                   "model": GRADIENT, "n": 4,
+                                   "grid_points": 4, "mc_instances": 2}, 7),
 }
 
 

@@ -116,8 +116,8 @@ def _at_least(spec, **bounds) -> None:
 
 
 def _finite_b2(model: ModelParams) -> None:
-    """Raise if a coupled model's b^2, which sets the start budget and the
-    prediction, overflows; an exceptional model runs with no prediction."""
+    """Raise if a coupled model's b^2 or b^4 overflows (b^2 sets the start
+    budget and the prediction); an exceptional model runs with no prediction."""
     if not model.field_free:
         try:
             derived_params(covariance_pair(model), model.sigma)
@@ -364,25 +364,14 @@ def write_json(path: str, payload: dict) -> None:
 # {file name: (header, rows) for a CSV or a dict for a JSON file}
 # ---------------------------------------------------------------------------
 
-def _exact_sweep(dps: list[DerivedParams], n: int) -> list:
-    """The exact count at each of `dps` (one tau), or None at a tau the exact
-    formula does not cover (|tau| = 1, a gradient field).  Odd N never gets
-    here: both callers' configs reject it at parse time."""
-    try:
-        return mean_totals_exact(dps, n)
-    except DomainError:
-        return [None] * len(dps)
-
-
 def _run_predict_sweep(c: PredictSweep, seed: int, threads: int,
                        strict: bool) -> dict:
     rows = []
     dps = [c.model.derived(sigma) for sigma in c.sigma_grid]
     for n in c.n_list:
-        for sigma, dp, exact in zip(c.sigma_grid, dps, _exact_sweep(dps, n)):
-            preds = [] if exact is None else [exact]
-            preds.append(predict_asymptotic(dp, n))
-            for pr in preds:
+        for sigma, dp, exact in zip(c.sigma_grid, dps,
+                                    mean_totals_exact(dps, n)):
+            for pr in (exact, predict_asymptotic(dp, n)):
                 rows.append([n, dp.tau, dp.b2, sigma, pr.regime,
                              pr.value, pr.log_value])
     return {"predictions.csv": (["N", "tau", "b2", "sigma", "regime", "value",
@@ -538,12 +527,10 @@ def _run_transition_curve(c: TransitionCurve, seed: int, threads: int,
     n_unsat = 0
     dps = [derived_params(cov, sigma) for sigma in c.sigma_grid]
     for i, (sigma, dp, exact) in enumerate(zip(c.sigma_grid, dps,
-                                                _exact_sweep(dps, c.n))):
+                                                mean_totals_exact(dps, c.n))):
         asym = predict_asymptotic(dp, c.n)
-        row = [sigma, dp.b2,
-               "" if exact is None else exact.value,
-               "" if exact is None else exact.log_value,
-               asym.regime, asym.value]
+        row = [sigma, dp.b2, exact.value, exact.log_value, asym.regime,
+               asym.value]
         if c.mc_instances > 0:
             res = mc_mean_count(replace(c.model, sigma=sigma), c.mc_instances,
                                 c.solver.n_starts,

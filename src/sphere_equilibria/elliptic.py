@@ -66,14 +66,10 @@ class EllipticParams:
             raise ParameterError(f"tau must lie in (-1, 1], got {self.tau}")
 
     def require_exact_density(self) -> None:
-        """Exact closed-form density needs even n and |tau| < 1."""
+        """Exact closed-form density needs even n; tau = 1 gives the GOE."""
         if self.n % 2 != 0:
             raise DomainError(
                 f"exact real-eigenvalue density requires even n (got n={self.n}); "
-                "use the Monte Carlo estimator instead")
-        if abs(self.tau) >= 1.0:
-            raise DomainError(
-                f"exact real-eigenvalue density requires |tau| < 1 (got tau={self.tau}); "
                 "use the Monte Carlo estimator instead")
 
 
@@ -188,7 +184,7 @@ def _psi_hat_scan(n: int, tau: float, xs: np.ndarray, weighted: bool = True
     Gaussian weight.  Only odd k are stepped (n is even), where h_k is odd and
     psi_hat_k(0) = 0; the coefficient sqrt(k/(k+1)) < 1 keeps the forward
     recurrence stable, and psi_hat_k is bounded by ~1 for every tau in
-    (-1, 1), so Ihat is summed in linear scale.
+    (-1, 1], so Ihat is summed in linear scale.
 
     Returns (log sum_{k<=n-2} psi_hat_k^2, sign and log|psi_hat_{n-1}|,
     Ihat_{n-2}).  With `weighted` false both logs are returned times the
@@ -317,7 +313,7 @@ def _log_rho(n: int, tau: float, xs: np.ndarray, weighted: bool) -> np.ndarray:
 
 
 def rho_real_exact(p: EllipticParams, x):
-    """Exact mean density of real eigenvalues at x (N even, |tau| < 1)."""
+    """Exact mean density of real eigenvalues at x (N even, -1 < tau <= 1)."""
     return np.exp(log_rho_real_exact(p, x))
 
 
@@ -470,7 +466,6 @@ def real_eigenvalue_histogram(p: EllipticParams, trials: int, seed: int,
 
 def expected_real_count(p: EllipticParams) -> float:
     """Integral of the exact density over the real line (even in x)."""
-    p.require_exact_density()
     lam_max = support_lambda_max(p.n, p.tau)
     xmax = lam_max * math.sqrt(p.n)
     res = log_quad(lambda xs: log_rho_real_exact(p, xs), 0.0, xmax,

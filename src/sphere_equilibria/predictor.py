@@ -14,7 +14,8 @@ Two independent code paths compute the same quantity:
   is replaced by ``2 (N-2)!! sqrt(1+tau) exp(N lam^2/(2(1+tau))) rho_N``.
 
 Their agreement on the full line is a nontrivial consistency check of the
-prefactors and is enforced by the acceptance suite at 1e-10 relative.
+prefactors and is enforced by the acceptance suite at 1e-10 relative.  Both
+need an even N and take any tau in (-1, 1] (tau = 1: the GOE density).
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class DerivedParams:
             raise ParameterError(f"sigma must be nonnegative, got {sigma}")
         tau = phi2 / dphi1
         b2 = (sigma * sigma + phi1) / dphi1
-        if not math.isfinite(b2):
+        if not math.isfinite(b2 * b2):  # the integration cap takes b^4
             raise ParameterError(
-                f"b^2 = (sigma^2 + Phi1(1)) / Phi1'(1) overflows at sigma = {sigma}")
+                f"b^2 = (sigma^2 + Phi1(1)) / Phi1'(1) or its square overflows "
+                f"at sigma = {sigma}")
         if tau <= -1.0 + _EXCEPTIONAL_TOL:
             raise DomainError(
                 "exceptional antisymmetric case tau = -1: purely antisymmetric "
@@ -171,7 +173,6 @@ def mean_totals_exact(dps: list[DerivedParams], n: int
     if not dps:
         return []
     p = EllipticParams(n, dps[0].tau)
-    p.require_exact_density()
     quads = _density_quads(p, [-0.25 * n * dp.big_b for dp in dps],
                            [(0.0, _integration_cap(dp, n)) for dp in dps])
     out = []
@@ -187,7 +188,7 @@ def mean_totals_exact(dps: list[DerivedParams], n: int
 
 
 def mean_total_exact(dp: DerivedParams, n: int) -> CountPrediction:
-    """Exact mean number of equilibria at size N (N even, |tau| < 1)."""
+    """Exact mean number of equilibria at size N (N even, -1 < tau <= 1)."""
     return mean_totals_exact([dp], n)[0]
 
 
@@ -422,8 +423,12 @@ def predict_asymptotic(dp: DerivedParams, n: int) -> CountPrediction:
 
     b = 1 exactly is dispatched to the gamma-crossover at gamma = 0 (the
     fixed-b formula diverges there); tau = 1 with b < 1 to the weak
-    non-gradient expression at u = 0.
+    non-gradient expression at u = 0.  At b = 1 and tau = 1 that limit
+    diverges, but the count is exactly 2N: twice the number of real
+    eigenvalues of an N x N GOE draw, all of which are real.
     """
+    if dp.b2 == 1.0 and dp.tau == 1.0:
+        return CountPrediction(2.0 * n, math.log(2.0 * n), "gamma-crossover", n)
     if dp.b2 == 1.0:
         val = math.sqrt(n) * crossover_gamma(dp.tau, 0.0)
         return CountPrediction(val, math.log(val), "gamma-crossover", n)

@@ -19,6 +19,8 @@ from .errors import NumericalError, ParameterError
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 # bisection rounds before `log_quad` gives up
 _MAX_ROUNDS = 24
+# most panels one integral may evaluate in a round, so memory stays bounded
+_MAX_PANELS = 2 ** 16
 
 
 def _panel_log_integrals(lf: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -126,6 +128,10 @@ class _Integral:
         self.hi = np.concatenate([self.mid[keep], self.hi[keep]])
         self.parent = np.concatenate([left[keep], right[keep]])
         self.n_refine += int(keep.sum())
+        if 2 * len(self.lo) > _MAX_PANELS:
+            raise NumericalError(
+                f"quadrature did not converge: its next round needs "
+                f"{2 * len(self.lo)} panels, over the bound of {_MAX_PANELS}")
         return None
 
     def give_up(self) -> LogQuadResult:
@@ -148,7 +154,8 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12,
     each round evaluates the nodes of every unfinished integral in one call
     ``logf(xs, owner)``, where ``owner[i]`` is the index in `intervals` of the
     integral that node ``xs[i]`` belongs to.  The first round also evaluates
-    the initial panels.  An empty interval (b <= a) gives log 0.
+    the initial panels.  An empty interval (b <= a) gives log 0; one whose
+    next round needs over `_MAX_PANELS` panels raises `NumericalError`.
     """
     for a, b in intervals:
         if not (np.isfinite(a) and np.isfinite(b)):

@@ -119,6 +119,8 @@ MALFORMED = {
                                            "sigma": 1e60}}, "b^2"),
     "dynamics-overflowing-b2": ({**DYN, "model": {"n": 4, "j1": 1e-100,
                                                   "sigma": 1e60}}, "b^2"),
+    # b^2 is finite but b^4, which the integration cap takes, is not
+    "sweep-overflowing-b4": ({**SWEEP, "sigma_grid": [1e100]}, "b^2"),
 }
 
 
@@ -368,6 +370,16 @@ class TestMainExitCodes:
         assert "b^2" in err["error"]["message"]
         assert not os.path.exists(tmp_path / "o")
 
+    def test_far_trivial_quadrature_is_numerical_error(self, tmp_path, capsys):
+        # at b^2 ~ 3e9 the integrand cancels to ~b^2 eps, so the panels keep
+        # failing until one integral needs more than the panel bound
+        path = write_config(tmp_path, {**MINIMAL_SWEEP, "sigma_grid": [1e5]})
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "numerical"
+        assert "panels" in err["error"]["message"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_spreadless_det_identity_lambda_exit_code(self, tmp_path, capsys):
         # at lam = 1e300 every draw gives the same |det|: no standard error
         payload = {"kind": "det-identity", "n": 2, "tau": 0.999999,
@@ -447,6 +459,23 @@ class TestMainExitCodes:
             rows = list(csv.reader(fh))
         assert rows[0][:4] == ["sigma", "b2", "exact_value", "exact_log_value"]
         assert len(rows) == 4
+
+    def test_default_gradient_curve(self, tmp_path):
+        # the default grid's middle point is sigma_c, where b^2 = 1: the
+        # count of a gradient field there is 2N
+        payload = {"kind": "transition-curve", "n": 4,
+                   "model": {"j1": 1, "j2": 1, "alpha1": 1, "alpha2": 1}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "transition_curve.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        assert all(float(r["exact_value"]) > 0 for r in rows)
+        mid = rows[4]
+        assert float(mid["sigma"]) == math.sqrt(3.0) and float(mid["b2"]) == 1.0
+        assert math.isclose(float(mid["exact_value"]), 8.0, rel_tol=1e-13)
+        assert mid["asympt_regime"] == "gamma-crossover"
+        assert float(mid["asympt_value"]) == 8.0
 
 
 CHILD_RUN = """

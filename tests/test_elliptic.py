@@ -274,7 +274,8 @@ class TestExactDensity:
         assert_allclose(rho_real_exact(p, xs), rho_n2_closed_form(tau, xs),
                         rtol=1e-12, atol=1e-300)
 
-    @pytest.mark.parametrize("n,tau", [(4, 0.5), (4, -0.5), (8, 0.3), (6, -0.7)])
+    @pytest.mark.parametrize("n,tau", [(4, 0.5), (4, -0.5), (8, 0.3), (6, -0.7),
+                                       (8, 1.0)])
     def test_small_n_naive_reference(self, n, tau):
         p = EllipticParams(n, tau)
         for x in [0.0, 0.7, -1.3, 2.0, 3.5]:
@@ -283,7 +284,7 @@ class TestExactDensity:
 
     @pytest.mark.parametrize("n,tau,x", [
         (100, 0.5, 3.0), (100, 0.5, 12.0), (100, -0.5, 4.0),
-        (200, 0.0, 10.0), (200, 0.0, 40.0),
+        (200, 0.0, 10.0), (200, 0.0, 40.0), (100, 1.0, 5.0), (100, 1.0, 25.0),
     ])
     def test_high_precision_reference(self, n, tau, x):
         # |x| up to ~3 sqrt(N), relative accuracy 1e-8
@@ -319,11 +320,17 @@ class TestExactDensity:
         val = expected_real_count(EllipticParams(4, 0.0))
         assert_allclose(val, math.sqrt(2) * 11 / 8, rtol=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 20, 100, 400])
+    def test_gradient_normalization(self, n):
+        # tau = 1 is the GOE, all of whose N eigenvalues are real
+        assert_allclose(expected_real_count(EllipticParams(n, 1.0)), n,
+                        rtol=1e-13)
+
     def test_domain_gates(self):
         with pytest.raises(DomainError, match="even"):
             rho_real_exact(EllipticParams(3, 0.0), 0.0)
-        with pytest.raises(DomainError, match="Monte Carlo"):
-            rho_real_exact(EllipticParams(4, 1.0), 0.0)
+        with pytest.raises(DomainError, match="even"):
+            rho_real_exact(EllipticParams(3, 1.0), 0.0)
 
     def test_log_form_far_outside(self):
         # representable in log space far beyond the spectral edge
@@ -570,7 +577,15 @@ class TestDensityProfile:
         assert tail < 1e-12 * rho_real_bulk(tau)
 
     def test_monte_carlo_profile_matches_exact(self):
-        p = EllipticParams(4, -0.5)
+        self.check_profile(EllipticParams(4, -0.5))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_gradient_profile_matches_exact(self, n):
+        # tau = 1: the exact density is the GOE one
+        self.check_profile(EllipticParams(n, 1.0))
+
+    @staticmethod
+    def check_profile(p):
         lam_max = (1.0 + p.tau) + 6.0 / math.sqrt(p.n)
         lam_edges = np.linspace(-lam_max, lam_max, 12)
         mean, stderr = real_eigenvalue_histogram(p, 30_000, 17, lam_edges)

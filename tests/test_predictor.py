@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -62,6 +63,11 @@ class TestDerivedParams:
         # sigma is finite but sigma^2 is not
         with pytest.raises(ParameterError, match="b\\^2"):
             DerivedParams.from_values(1.0, 2.0, 0.0, 1e200)
+
+    def test_overflowing_b4_rejected(self):
+        # b^2 ~ 5e199 is finite, but the integration cap needs b^4
+        with pytest.raises(ParameterError, match="square overflows"):
+            DerivedParams.from_values(1.0, 2.0, 0.0, 1e100)
 
     def test_band_validation(self):
         with pytest.raises(ParameterError):
@@ -129,11 +135,46 @@ class TestExactCounts:
         with pytest.raises(DomainError, match="even"):
             validate_det_identity(0.5, 5, 0.0, 100, seed=0)
 
-    def test_tau_one_rejected(self):
-        cov = covariance_pair(ModelParams(n=4, j1=1, j2=1, alpha1=1, alpha2=1))
-        dp = derived_params(cov, 0.0)
-        with pytest.raises(DomainError):
-            mean_total_exact(dp, 4)
+    def test_b1_identity_at_tau_one(self):
+        # at b = 1 the count is twice the mean number of real eigenvalues of
+        # an N x N draw, and every GOE eigenvalue is real: 2N exactly
+        dp = dp_for(1.0, 1.0)
+        for n in (2, 4, 100, 400):
+            assert_allclose(mean_total_exact(dp, n).value, 2.0 * n, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 10, 100, 400])
+    def test_b1_identity_at_tau_zero(self, n):
+        """At b = 1 and tau = 0 the count is 2 E_N, with E_N the real Ginibre
+        count of Edelman, Kostlan & Shub (J. AMS 7, 1994),
+        1/2 + sqrt(2) 2F1(1, -1/2; N; 1/2) / B(N, 1/2).  An oracle outside
+        both routes.  E_N = sqrt(2N/pi) + 1/2 + O(N^-1/2), so count/sqrt(N)
+        exceeds the gamma = 0 crossover limit 4/sqrt(2 pi) by about
+        1/sqrt(N): criterion 08's gamma = 0 gap (3.04% at N = 400) in
+        closed form."""
+        with mp.workdps(40):
+            e_n = 0.5 + (mp.sqrt(2) * mp.hyp2f1(1, -0.5, n, 0.5)
+                         / mp.beta(n, 0.5))
+        assert_allclose(mean_total_exact(dp_for(0.0, 1.0), n).value,
+                        2.0 * float(e_n), rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [400, 1600])
+    @pytest.mark.parametrize("u", [0.0, 1.0, 3.0])
+    def test_weak_nongradient_limit(self, u, n):
+        # tau = 1 - u^2/N at b^2 = 0.8: the exact count approaches the weak
+        # non-gradient asymptote like c/N, with N (1 - ratio) in 1.3-2.6
+        dp = DerivedParams.from_values(0.8, 1.0, 1.0 - u * u / n, 0.0)
+        ratio = mean_total_exact(dp, n).value / weak_nongradient(u, 0.8, n)
+        assert abs(1.0 - ratio) <= 4.0 / n
+
+    @pytest.mark.parametrize("n", [4, 100])
+    def test_gradient_total_equals_full_interval(self, n):
+        cov = covariance_pair(ModelParams(n=n, j1=1, j2=1, alpha1=1, alpha2=1))
+        sigma_c = derived_params(cov, 0.0).sigma_c
+        for sigma in (0.0, sigma_c, 2.0 * sigma_c):
+            dp = derived_params(cov, sigma)
+            t = mean_total_exact(dp, n)
+            i = mean_in_interval(dp, n, -math.inf, math.inf)
+            assert abs(t.log_value - i.log_value) < 1e-10
 
     def test_linear_field_value(self):
         # j2 = 0, sigma = 0, alpha1 = 0.3: count = 2 E#real of the coupling
@@ -198,9 +239,12 @@ class TestDetIdentity:
         rep = validate_det_identity(0.5, 4, 1.0, 30_000, seed=4)
         assert abs(rep.ratio - 1.0) < 3 * rep.stderr
 
-    def test_gradient_route_rejected(self):
-        with pytest.raises(DomainError):
-            validate_det_identity(1.0, 4, 0.0, 100, seed=0)
+    def test_ratio_one_at_tau_one(self):
+        # Fyodorov's GOE identity, at the centre, in the bulk and at the edge
+        for n in (4, 8):
+            for lam in (0.0, 0.7, 1.5):
+                rep = validate_det_identity(1.0, n, lam, 50_000, seed=6)
+                assert abs(rep.z) < 3.0
 
     @pytest.mark.parametrize("lam", [1e8, 1e12, -1e12])
     def test_large_lambda_gives_a_finite_ratio(self, lam):
@@ -361,6 +405,13 @@ class TestRegimeRouting:
         assert pred.regime == "gamma-crossover"
         assert_allclose(pred.value, 10.0 * 4 / math.sqrt(2 * math.pi),
                         rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4, 100])
+    def test_gradient_transition_line_is_2n(self, n):
+        # the crossover limit diverges at tau = 1, but the count is 2N exactly
+        pred = predict_asymptotic(dp_for(1.0, 1.0), n)
+        assert pred.regime == "gamma-crossover"
+        assert pred.value == 2.0 * n and pred.log_value == math.log(2.0 * n)
 
     def test_gradient_routes_to_weak_nongradient(self):
         cov = covariance_pair(ModelParams(n=4, j1=1, j2=1, alpha1=1, alpha2=1))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sphere_equilibria import quadrature
 from sphere_equilibria.errors import NumericalError, ParameterError
 from sphere_equilibria.quadrature import (_group_log_integrals, log_quad,
                                          log_quad_many)
@@ -107,6 +108,22 @@ def test_non_convergence_raises():
     with pytest.raises(NumericalError, match="did not converge"):
         log_quad_many(lambda xs, owner: logf(xs), [(0.0, 1.0), (0.0, 0.5)],
                       rel_tol=1e-30, initial_panels=2)
+
+
+def test_panel_bound_raises(monkeypatch):
+    # an integrand that oscillates on a scale of 1e-9 fails every panel test,
+    # so the panels double each round until one integral holds too many
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 256)
+    rounds = []
+
+    def logf(xs, owner):
+        rounds.append(len(xs))
+        return 30.0 * np.sin(1e9 * xs)
+
+    with pytest.raises(NumericalError, match="over the bound of 256"):
+        log_quad_many(logf, [(0.0, 1.0)], initial_panels=64)
+    # 64 + 128 panels, then 256, then the next round's 512 is refused
+    assert rounds == [16 * 192, 16 * 256]
 
 
 def test_infinite_bounds_rejected():

@@ -15,7 +15,9 @@ from sphere_equilibria import cli, search
 from sphere_equilibria._rng import derive_seed
 from sphere_equilibria.elliptic import real_eigenvalues
 from sphere_equilibria.errors import DomainError, NumericalError, ParameterError
-from sphere_equilibria.field_model import ModelParams, sample_field
+from sphere_equilibria.field_model import (ModelParams, covariance_pair,
+                                           sample_field)
+from sphere_equilibria.predictor import derived_params, mean_total_exact
 from sphere_equilibria.search import (default_n_starts, find_equilibria,
                                       mc_mean_count, tangent_spectrum_at)
 
@@ -406,6 +408,12 @@ class TestStartBudget:
         with pytest.raises(NumericalError):
             default_n_starts(ModelParams(n=4, **self.PARAMS))
 
+    def test_gradient_budget_from_exact_count(self):
+        # tau = 1 at even N: 200 starts per root of the exact count, 13.24
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=1.0, alpha2=1.0, sigma=0.5)
+        exact = mean_total_exact(derived_params(covariance_pair(p), 0.5), 4)
+        assert default_n_starts(p) == int(200.0 * exact.value) == 2647
+
     def test_odd_n_falls_back_to_asymptote(self):
         # the exact count needs even N; the DomainError routes to the asymptote
         assert 64 <= default_n_starts(ModelParams(n=5, **self.PARAMS)) <= 10_000
@@ -462,6 +470,17 @@ class TestMCCount:
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=3.2)
         res = mc_mean_count(p, 40, seed=21)
         assert abs(res.mean - 2.0) <= 3 * res.stderr + 1e-12
+
+    def test_gradient_field_matches_exact_count(self):
+        # tau = 1 (the spherical mixed p-spin energy with a random field) at
+        # 2 sigma_c, default start budget
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=1.0, alpha2=1.0,
+                        sigma=2.0 * math.sqrt(3.0))
+        res = mc_mean_count(p, 150, seed=11)
+        exact = mean_total_exact(derived_params(covariance_pair(p), p.sigma), 4)
+        assert exact.value == pytest.approx(3.89070, abs=1e-5)
+        assert res.n_unsaturated == 0
+        assert abs(res.mean - exact.value) <= 3 * res.stderr
 
     def test_linear_family_matches_elliptic_count(self):
         # j2 = 0, alpha1 = 0, sigma = 0: the coupling matrix is a scaled
