@@ -42,6 +42,12 @@ SMALL = {
                                          "phi2_1": 1.0},
                                "sigma_grid": [0.3, 0.7, 1.0, 1.6],
                                "n_list": [2, 400]}, 7),
+    # deep in the trivial phase, where the exact count tends to 2
+    "predict-sweep-far-trivial": ({"kind": "predict-sweep",
+                                   "model": {"j1": 1.0, "j2": 1.0,
+                                             "alpha1": 0.3, "alpha2": 0.2},
+                                   "sigma_grid": [10.0, 1e3, 1e4],
+                                   "n_list": [4, 100]}, 7),
     "mc-count": ({"kind": "mc-count", "model": MODEL4, "instances": 4,
                   "lambda_bins": 6}, 7),
     # a linear field (j2 = 0): the quadratic couplings are all zero

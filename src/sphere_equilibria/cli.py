@@ -116,8 +116,8 @@ def _at_least(spec, **bounds) -> None:
 
 
 def _finite_b2(model: ModelParams) -> None:
-    """Raise if a coupled model's b^2 or b^4 overflows (b^2 sets the start
-    budget and the prediction); an exceptional model runs with no prediction."""
+    """Raise if a coupled model's b^2 overflows (b^2 sets the start budget
+    and the prediction); an exceptional model runs with no prediction."""
     if not model.field_free:
         try:
             derived_params(covariance_pair(model), model.sigma)

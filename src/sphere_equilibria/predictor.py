@@ -5,17 +5,19 @@ integral of the real-eigenvalue density of the elliptic ensemble.  Everything
 here is assembled in log space: the ``b**(1-N)`` amplification and the
 Gaussian weight both leave double range long before N reaches the hundreds.
 
-Two independent code paths compute the same quantity:
+Two independent code paths compute the same quantity, each integrating one
+closed-form Gaussian weight against ``rho_u(x) = exp(x^2/(2(1+tau))) rho(x)``,
+so that no terms of size N b^2 cancel deep in the trivial phase:
 
-* `mean_total_exact` evaluates the closed total-count formula
-  ``2 sqrt(N (1+tau)/(b^2+tau)) b^(1-N) Integral exp(-N B lam^2 / 4) rho(lam sqrt N) dlam``.
-* `mean_in_interval` evaluates the Lagrange-multiplier-resolved form, where
-  the mean modulus of the characteristic determinant of an (N-1)-size draw
-  is replaced by ``2 (N-2)!! sqrt(1+tau) exp(N lam^2/(2(1+tau))) rho_N``.
+* `mean_total_exact`, the closed total-count formula
+  ``2 sqrt(N (1+tau)/(b^2+tau)) b^(1-N) Integral exp(-N lam^2 / (2 (b^2+tau)))
+  rho_u(lam sqrt N) dlam``;
+* `mean_in_interval`, the Lagrange-multiplier-resolved form, where the mean
+  |det| of an (N-1)-size draw is replaced by ``2 (N-2)!! sqrt(1+tau) rho_u``.
 
-Their agreement on the full line is a nontrivial consistency check of the
-prefactors and is enforced by the acceptance suite at 1e-10 relative.  Both
-need an even N and take any tau in (-1, 1] (tau = 1: the GOE density).
+Their agreement on the full line (twice the half line for the total route)
+checks the separately assembled prefactors, at 1e-10 relative in the
+acceptance suite.  Both need an even N and any tau in (-1, 1] (1: GOE).
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class DerivedParams:
 
     tau: float
     b2: float
-    big_b: float
     sigma_c: float
     lambda_scale: float
 
@@ -87,9 +88,9 @@ class DerivedParams:
             raise ParameterError(f"sigma must be nonnegative, got {sigma}")
         tau = phi2 / dphi1
         b2 = (sigma * sigma + phi1) / dphi1
-        if not math.isfinite(b2 * b2):  # the integration cap takes b^4
+        if not math.isfinite(b2):
             raise ParameterError(
-                f"b^2 = (sigma^2 + Phi1(1)) / Phi1'(1) or its square overflows "
+                f"b^2 = (sigma^2 + Phi1(1)) / Phi1'(1) overflows "
                 f"at sigma = {sigma}")
         if tau <= -1.0 + _EXCEPTIONAL_TOL:
             raise DomainError(
@@ -99,8 +100,7 @@ class DerivedParams:
             raise DomainError(
                 f"exceptional case b^2 + tau = {b2 + tau:.3e}: the Gaussian "
                 "weight parameter is undefined")
-        big_b = (2.0 / (1.0 + tau)) * (1.0 - b2) / (b2 + tau)
-        return cls(tau=tau, b2=b2, big_b=big_b,
+        return cls(tau=tau, b2=b2,
                    sigma_c=math.sqrt(dphi1 - phi1),
                    lambda_scale=math.sqrt(dphi1))
 
@@ -139,26 +139,28 @@ def _log_double_factorial_even(m: int) -> float:
 def _integration_cap(dp: DerivedParams, n: int) -> float:
     """Rescaled-lambda cutoff beyond which the integrand is negligible."""
     cap = support_lambda_max(n, dp.tau)
-    if dp.big_b < 0.0:  # trivial phase: past the saddle point lambda*
+    if dp.b2 > 1.0:  # trivial phase: past the saddle point lambda*
         asym = asympt_fixed(dp)
-        width = math.sqrt(160.0 / (n * -asym.l_second))
+        # sqrt(160 / (n |l''|)), rooted in two parts to stay finite with b^2
+        width = math.sqrt(160.0 / n) / math.sqrt(-asym.l_second)
         cap = max(cap, asym.lambda_star + 3.0 * width, asym.lambda_star * 1.25)
     return cap
 
 
-def _density_quads(p: EllipticParams, coefs: list[float],
+def _density_quads(p: EllipticParams, b2s: list[float],
                    intervals: list[tuple[float, float]]) -> list[LogQuadResult]:
-    """log of int exp(coef_j lam^2) rho(lam sqrt N) dlam over each interval j,
-    in one lockstep quadrature that evaluates the density once per distinct
-    node of a round, so integrals with the same bounds (every sigma below
-    sigma_c) evaluate the panels they have in common once."""
+    """log of int exp(-N lam^2 / (2 (b_j^2 + tau))) rho_u(lam sqrt N) dlam over
+    each interval j, in one lockstep quadrature that evaluates the density
+    once per distinct node of a round, so integrals with the same bounds
+    (every sigma below sigma_c) evaluate the panels they have in common once."""
     sqrt_n = math.sqrt(p.n)
-    coefs = np.array(coefs, dtype=float)
+    # lam / sqrt(b^2 + tau) stays O(1) at the nodes, where lam^2 may overflow
+    inv_widths = 1.0 / np.sqrt(np.array(b2s, dtype=float) + p.tau)
 
     def log_integrand(lams: np.ndarray, owner: np.ndarray) -> np.ndarray:
         nodes, where = np.unique(lams, return_inverse=True)
-        return (coefs[owner] * lams * lams
-                + log_rho_real_exact(p, nodes * sqrt_n)[where])
+        return (-0.5 * p.n * (lams * inv_widths[owner]) ** 2
+                + log_rho_real_exact(p, nodes * sqrt_n, weighted=False)[where])
 
     return log_quad_many(log_integrand, intervals, rel_tol=_QUAD_REL_TOL,
                          initial_panels=96)
@@ -173,7 +175,7 @@ def mean_totals_exact(dps: list[DerivedParams], n: int
     if not dps:
         return []
     p = EllipticParams(n, dps[0].tau)
-    quads = _density_quads(p, [-0.25 * n * dp.big_b for dp in dps],
+    quads = _density_quads(p, [dp.b2 for dp in dps],
                            [(0.0, _integration_cap(dp, n)) for dp in dps])
     out = []
     for dp, quad in zip(dps, quads):
@@ -206,8 +208,7 @@ def mean_in_intervals(dp: DerivedParams, n: int,
     bounds = [(max(alpha / dp.lambda_scale, -cap) if np.isfinite(alpha) else -cap,
                min(beta / dp.lambda_scale, cap) if np.isfinite(beta) else cap)
               for alpha, beta in intervals]
-    half_gauss = 0.5 * n * (1.0 / (1.0 + dp.tau) - 1.0 / (dp.b2 + dp.tau))
-    quads = _density_quads(p, [half_gauss] * len(bounds), bounds)
+    quads = _density_quads(p, [dp.b2] * len(bounds), bounds)
     log_dfact = _log_double_factorial_even(n - 2)
     # interval-count prefactor sqrt(N)/(N-2)!! times the determinant-identity
     # constant 2 (N-2)!! sqrt(1+tau); an empty interval gives log 0
@@ -226,8 +227,8 @@ def mean_in_interval(dp: DerivedParams, n: int, alpha: float,
     alpha, beta are in physical units and are mapped to rescaled spectral
     units by `dp.lambda_scale`; infinite endpoints are allowed.  Assembled
     through the determinant-identity route, independently of
-    `mean_total_exact` (the double factorials and Gaussian-weight exponents
-    cancel numerically, not symbolically).
+    `mean_total_exact` (the Gaussian-weight exponents cancel symbolically,
+    only the double factorials numerically).
     """
     return mean_in_intervals(dp, n, [(alpha, beta)])[0]
 
@@ -335,12 +336,9 @@ def asympt_fixed(dp: DerivedParams) -> FixedAsymptote:
         pref = (2.0 * math.sqrt((1.0 + dp.tau) / (1.0 - dp.tau))
                 * b / math.sqrt(1.0 - dp.b2))
         return FixedAsymptote("abundant", math.log(1.0 / b), pref)
-    lam_star = b + dp.tau / b
     return FixedAsymptote(
-        "trivial", 0.0, 2.0,
-        lambda_star=lam_star,
-        l_at_star=math.log(b),
-        l_second=-2.0 * dp.b2 / ((dp.b2 + dp.tau) * (dp.b2 - dp.tau)))
+        "trivial", 0.0, 2.0, lambda_star=b + dp.tau / b, l_at_star=math.log(b),
+        l_second=-2.0 / ((1.0 + dp.tau / dp.b2) * (dp.b2 - dp.tau)))
 
 
 def crossover_gamma(tau: float, gamma: float) -> float:

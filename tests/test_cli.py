@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import sphere_equilibria
+from sphere_equilibria import predictor, quadrature
 from sphere_equilibria._rng import derive_seed
 from sphere_equilibria.cli import ExperimentConfig, main, parse_config, run
 from sphere_equilibria.errors import ParameterError
@@ -119,8 +120,6 @@ MALFORMED = {
                                            "sigma": 1e60}}, "b^2"),
     "dynamics-overflowing-b2": ({**DYN, "model": {"n": 4, "j1": 1e-100,
                                                   "sigma": 1e60}}, "b^2"),
-    # b^2 is finite but b^4, which the integration cap takes, is not
-    "sweep-overflowing-b4": ({**SWEEP, "sigma_grid": [1e100]}, "b^2"),
 }
 
 
@@ -301,8 +300,11 @@ class TestRunner:
         assert rows[0] == ["lambda", "rho", "method"]
         assert len(rows) == 202  # header + the 201-point Chebyshev grid
 
-    # SHA-256 over every artifact but the manifest, recorded before the
-    # density profile container was replaced by a histogram function
+    # SHA-256 over every artifact but the manifest.  spectra-validate was
+    # recorded before the density profile container was replaced by a
+    # histogram function; the three kinds with exact counts were re-recorded
+    # when both routes took the closed-form Gaussian weight, which moved
+    # their exact and predicted values in the last bits
     PINNED_PAYLOADS = {
         "spectra-validate": ({"kind": "spectra-validate", "n": 4, "tau": -0.5,
                               "trials": 3000, "bins": 5, "seed": 5},
@@ -310,22 +312,20 @@ class TestRunner:
                              "2d62b84a46ca83c05a3b4697248b7c9d"),
         "predict-sweep": ({**MINIMAL_SWEEP, "sigma_grid": [0.5, 2.0],
                            "n_list": [100]},
-                          "313ee89c17ae46e885b377ca3eb969b7"
-                          "db7b73611e2fc8c332110178e6c47556"),
-        # recorded before the sigma sweep and the bins shared one quadrature:
-        # exact counts on both sides of sigma_c ~ 1.04, and one
-        # `mean_in_interval` per histogram bin
+                          "78c1b987c73618e046b2501e5acb0419"
+                          "6630c39f920abd586399216f1091d2aa"),
+        # exact counts on both sides of sigma_c ~ 1.04
         "transition-curve": ({"kind": "transition-curve",
                               "model": MINIMAL_SWEEP["model"], "n": 10,
                               "sigma_grid": [0.0, 0.6, 1.5, 2.5],
                               "mc_instances": 0, "seed": 3},
-                             "76ff460d230f3b02c942e8eb131cc6d5"
-                             "7500a3b978848fef3918d0973ed5cf71"),
+                             "adc8c164fbd27870d27b1a262610fed8"
+                             "60443ecb3fe27e14b6041c9b40a33834"),
         "mc-count": ({"kind": "mc-count", "model": {**MODEL4, "sigma": 0.5},
                       "instances": 3, "lambda_bins": 5,
                       "solver": {"n_starts": 200}, "seed": 2},
-                     "948519cb79f1cfa709f252776cc4cd73"
-                     "2403ed03356e49b19bb0475c281efe01"),
+                     "4b5c21f5b3a50c4a92a4896d96e5c59f"
+                     "f0a234b979ad149fe9ec385cc51d534b"),
     }
 
     @pytest.mark.parametrize("kind", PINNED_PAYLOADS)
@@ -370,15 +370,62 @@ class TestMainExitCodes:
         assert "b^2" in err["error"]["message"]
         assert not os.path.exists(tmp_path / "o")
 
-    def test_far_trivial_quadrature_is_numerical_error(self, tmp_path, capsys):
-        # at b^2 ~ 3e9 the integrand cancels to ~b^2 eps, so the panels keep
-        # failing until one integral needs more than the panel bound
+    def test_far_trivial_quadrature_is_numerical_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # with no error tolerated, the panels keep failing until one
+        # integral needs more than the panel bound
+        monkeypatch.setattr(predictor, "_QUAD_REL_TOL", 0.0)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
         path = write_config(tmp_path, {**MINIMAL_SWEEP, "sigma_grid": [1e5]})
         assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 3
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "numerical"
-        assert "panels" in err["error"]["message"]
+        assert "over the bound of 64" in err["error"]["message"]
         assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("payload", [
+        {**MINIMAL_SWEEP, "sigma_grid": [1e5]},
+        {**MINIMAL_SWEEP, "sigma_grid": [1e50], "n_list": [100]},
+        {**SWEEP, "sigma_grid": [1e100]},
+    ], ids=["sigma-1e5", "sigma-1e50-n100", "sigma-1e100"])
+    def test_far_trivial_sweep_counts_two(self, tmp_path, payload):
+        # deep in the trivial phase the exact count is 2, not a cancelled
+        # quadrature or an overflow
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "predictions.csv") as fh:
+            exact = [r for r in csv.DictReader(fh) if r["regime"] == "exact"]
+        assert len(exact) == 1
+        assert math.isclose(float(exact[0]["value"]), 2.0, rel_tol=1e-10)
+
+    def test_far_trivial_dynamics_budget(self, tmp_path):
+        # the default start budget takes the exact count, 2 at sigma = 1e5
+        payload = {"kind": "dynamics", "model": {**MODEL4, "sigma": 1e5},
+                   "starts": 5, "t_max": 1, "seed": 3}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_far_trivial_newton_finds_no_roots(self, tmp_path, capsys):
+        # pins a known limit: at sigma = 1e8 the field and lam x are of size
+        # ~1e8, so the residual's rounding (~1e-8) stays above Newton's
+        # absolute tolerance of 1e-10 and no start converges; every rootless
+        # instance must count as unsaturated, never as a clean 0
+        payload = {"kind": "mc-count", "model": {**MODEL4, "sigma": 1e8},
+                   "instances": 3, "seed": 1}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "mc_counts.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert ([(r["n_found"], r["saturated"]) for r in rows]
+                == [("0", "False")] * 3)
+        with open(tmp_path / "o" / "summary.json") as fh:
+            assert json.load(fh)["n_unsaturated"] == 3
+        # --strict keeps no instance, which is a numerical error
+        capsys.readouterr()
+        assert main(["run", path, "--out-dir", str(tmp_path / "s"),
+                     "--strict"]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert "non-saturated" in err["error"]["message"]
 
     def test_spreadless_det_identity_lambda_exit_code(self, tmp_path, capsys):
         # at lam = 1e300 every draw gives the same |det|: no standard error

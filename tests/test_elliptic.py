@@ -130,27 +130,39 @@ def rho_naive(n, tau, x):
     return rho1 + rho2
 
 
+def rho_mp(n, tau, x, integral=None):
+    """rho(x) as an mpf at the caller's working precision.
+
+    `integral` is the boundary term's int_0^x psi_{n-2}; it is computed by
+    quadrature unless given.
+    """
+    c = mp.mpf(1) + tau
+    xm = mp.mpf(x)
+
+    def psi(k, y):
+        hm, hk = mp.mpf(0), mp.mpf(1)
+        for j in range(k):
+            hm, hk = hk, y * hk - tau * j * hm
+        return mp.e ** (-y * y / (2 * c)) * hk
+
+    # h_0 .. h_{n-1} at x in one pass of the recurrence
+    hs = [mp.mpf(1), xm]
+    for j in range(1, n - 1):
+        hs.append(xm * hs[j] - tau * j * hs[j - 1])
+    gauss = mp.e ** (-xm * xm / (2 * c))
+    rho1 = mp.fsum((gauss * hs[k]) ** 2 / mp.factorial(k) for k in range(n - 1))
+    rho1 /= mp.sqrt(2 * mp.pi)
+    if integral is None:
+        integral = mp.quad(lambda u: psi(n - 2, u), [0, xm / 2, xm])
+    rho2 = (gauss * hs[n - 1] * integral
+            / (mp.sqrt(2 * mp.pi) * c * mp.factorial(n - 2)))
+    return rho1 + rho2
+
+
 def rho_mpmath(n, tau, x, dps=40):
     """High-precision reference for moderate N."""
     with mp.workdps(dps):
-        c = mp.mpf(1) + tau
-        xm = mp.mpf(x)
-
-        def h(k, y):
-            hm, hk = mp.mpf(0), mp.mpf(1)
-            for j in range(k):
-                hm, hk = hk, y * hk - tau * j * hm
-            return hk
-
-        def psi(k, y):
-            return mp.e ** (-y * y / (2 * c)) * h(k, y)
-
-        rho1 = mp.fsum(psi(k, xm) ** 2 / mp.factorial(k) for k in range(n - 1))
-        rho1 /= mp.sqrt(2 * mp.pi)
-        integral = mp.quad(lambda u: psi(n - 2, u), [0, xm / 2, xm])
-        rho2 = (psi(n - 1, xm) * integral
-                / (mp.sqrt(2 * mp.pi) * c * mp.factorial(n - 2)))
-        return float(rho1 + rho2)
+        return float(rho_mp(n, tau, x))
 
 
 def antiderivative_mpmath(n, tau, xs, dps=30, width=4.0):

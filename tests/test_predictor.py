@@ -18,6 +18,7 @@ from sphere_equilibria.predictor import (DerivedParams, asympt_fixed,
                                          mean_totals_exact, predict_asymptotic,
                                          validate_det_identity,
                                          weak_nongradient)
+from test_elliptic import antiderivative_mpmath, rho_mp
 
 
 def dp_for(tau, b2, dphi1=2.0):
@@ -25,6 +26,43 @@ def dp_for(tau, b2, dphi1=2.0):
     q = min(b2, 1.0)
     return DerivedParams.from_values(q * dphi1, dphi1, tau * dphi1,
                                      math.sqrt((b2 - q) * dphi1))
+
+
+def mean_total_mpmath(n, tau, b2):
+    """The total count at b^2 > 1 in mpmath, with the Gaussian weight in its
+    original form: ``2 sqrt(N (1+tau)/(b^2+tau)) b^(1-N) int
+    exp(-N B lam^2 / 4) rho(lam sqrt N) dlam``, B = 2 (1 - b^2) /
+    ((1+tau)(b^2+tau)), at 40 digits, so the weight cancels the density's
+    own Gaussian harmlessly.
+
+    Four 40-point Gauss-Legendre panels cover the bulk [0, 4] and four more
+    run out to 12 saddle widths b / sqrt(2N) past lam* = b + tau/b.  The boundary
+    integral of `rho_mp` is accumulated up to x0 = 40 + 2 (1+tau) sqrt(N),
+    past which psi_{N-2} is below e^-500 of its bulk size.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    with mp.workdps(40):
+        tau, b2 = mp.mpf(tau), mp.mpf(b2)
+        big_b = 2 * (1 - b2) / ((1 + tau) * (b2 + tau))
+        b = mp.sqrt(b2)
+        hi = float(b + tau / b + 12 * b / mp.sqrt(2 * n))
+        edges = np.concatenate([np.linspace(0.0, 4.0, 5),
+                                np.linspace(4.0, hi, 5)[1:]])
+        mids, halves = (edges[1:] + edges[:-1]) / 2, np.diff(edges) / 2
+        lams = (mids[:, None] + halves[:, None] * nodes).ravel()
+        wts = (halves[:, None] * weights).ravel()
+        x0 = 40.0 + 2.0 * (1.0 + float(tau)) * math.sqrt(n)
+        # antiderivative_mpmath integrates psi_{N-2} / sqrt((N-2)!)
+        ints = antiderivative_mpmath(n, float(tau),
+                                     np.minimum(lams * math.sqrt(n), x0))
+        norm = mp.sqrt(mp.factorial(n - 2))
+        integral = mp.fsum(
+            mp.mpf(w) * mp.e ** (-n * big_b * mp.mpf(lam) ** 2 / 4)
+            * rho_mp(n, tau, mp.mpf(lam) * mp.sqrt(n), mp.mpf(i) * norm)
+            for w, lam, i in zip(wts, lams, ints))
+        pref = 2 * mp.sqrt(n * (1 + tau) / (b2 + tau)) * b ** (1 - n)
+        # the integrand is even in lambda
+        return float(pref * 2 * integral)
 
 
 class TestDerivedParams:
@@ -48,7 +86,7 @@ class TestDerivedParams:
     def test_plain_linear_family(self):
         cov = covariance_pair(ModelParams(n=4, j1=1.0, j2=0.0, alpha1=0.0))
         dp = derived_params(cov, 0.0)
-        assert dp.tau == 0.0 and dp.b2 == 1.0 and dp.big_b == 0.0
+        assert dp.tau == 0.0 and dp.b2 == 1.0
 
     def test_exceptional_antisymmetric_rejected(self):
         cov = covariance_pair(ModelParams(n=4, j1=1.0, j2=0.0, alpha1=-1.0))
@@ -64,10 +102,11 @@ class TestDerivedParams:
         with pytest.raises(ParameterError, match="b\\^2"):
             DerivedParams.from_values(1.0, 2.0, 0.0, 1e200)
 
-    def test_overflowing_b4_rejected(self):
-        # b^2 ~ 5e199 is finite, but the integration cap needs b^4
-        with pytest.raises(ParameterError, match="square overflows"):
-            DerivedParams.from_values(1.0, 2.0, 0.0, 1e100)
+    def test_far_trivial_b2_accepted(self):
+        # b^2 ~ 5e199 is finite while b^4 is not; nothing needs b^4
+        dp = DerivedParams.from_values(1.0, 2.0, 0.0, 1e100)
+        assert dp.b2 == 5e199
+        assert_allclose(mean_total_exact(dp, 4).value, 2.0, rtol=1e-12)
 
     def test_band_validation(self):
         with pytest.raises(ParameterError):
@@ -82,7 +121,7 @@ class TestDerivedParams:
         a = DerivedParams.from_values(1.4, 2.0, 1.0, 0.3)
         b = DerivedParams.from_values(c * 1.4, c * 2.0, c * 1.0,
                                       math.sqrt(c) * 0.3)
-        assert (a.tau, a.b2, a.big_b) == (b.tau, b.b2, b.big_b)
+        assert (a.tau, a.b2) == (b.tau, b.b2)
         assert b.sigma_c == math.sqrt(c) * a.sigma_c
         assert b.lambda_scale == math.sqrt(c) * a.lambda_scale
         pa, pb = mean_total_exact(a, 6), mean_total_exact(b, 6)
@@ -92,7 +131,7 @@ class TestDerivedParams:
         a = DerivedParams.from_values(1.4, 2.0, 1.0, 0.3)
         b = DerivedParams.from_values(3 * 1.4, 3 * 2.0, 3 * 1.0,
                                       math.sqrt(3) * 0.3)
-        assert_allclose([a.tau, a.b2, a.big_b], [b.tau, b.b2, b.big_b],
+        assert_allclose([a.tau, a.b2], [b.tau, b.b2],
                         rtol=1e-14)
 
 
@@ -111,6 +150,26 @@ class TestExactCounts:
         t = mean_total_exact(dp, 2000)
         i = mean_in_interval(dp, 2000, -math.inf, math.inf)
         assert abs(t.log_value - i.log_value) < 1e-10
+
+    @pytest.mark.parametrize("n", [4, 100, 400])
+    def test_far_trivial_phase_counts_two(self, n):
+        # both routes give 2 up to the largest sigma whose b^2 is finite, on
+        # the benchmark covariance, at tau < 0 and for a gradient field
+        for phi2 in (1.48, -1.0, 3.25):
+            for sigma in (1e4, 1e8, 1e50, 1e100, 1.34e154):
+                dp = DerivedParams.from_values(2.17, 3.25, phi2, sigma)
+                t = mean_total_exact(dp, n)
+                i = mean_in_interval(dp, n, -math.inf, math.inf)
+                assert_allclose([t.value, i.value], 2.0, rtol=1e-10)
+
+    @pytest.mark.parametrize("n,sigma", [(4, 10.0), (4, 1e3), (100, 10.0),
+                                         (100, 1e3)])
+    def test_mpmath_reference(self, n, sigma):
+        # the benchmark covariance, Phi1(1) = 2.17, Phi1'(1) = 3.25,
+        # Phi2(1) = 1.48, in the trivial phase (sigma_c ~ 1.04)
+        dp = DerivedParams.from_values(2.17, 3.25, 1.48, sigma)
+        want = mean_total_mpmath(n, 1.48 / 3.25, (sigma * sigma + 2.17) / 3.25)
+        assert_allclose(mean_total_exact(dp, n).value, want, rtol=1e-12)
 
     def test_half_line_is_half_total(self):
         dp = dp_for(0.3, 0.7)
@@ -199,7 +258,7 @@ class TestExactCounts:
         # b^2 = 1 at sigma_c, its own cap above) gives each sigma's bits
         dps = [DerivedParams.from_values(2.0, 3.0, 1.0, s)
                for s in (0.3, 0.7, 1.0, 1.6, 0.3)]
-        assert dps[2].big_b == 0.0
+        assert dps[2].b2 == 1.0
         assert mean_totals_exact(dps, n) == [mean_total_exact(dp, n)
                                              for dp in dps]
         assert mean_totals_exact([], n) == []
