@@ -10,14 +10,19 @@ with BLAS pinned to one thread, the two checkouts concurrently.
 
 Every artifact but `manifest.json` (timings, versions) is compared byte for
 byte.  The script prints each artifact that differs or exists on one side
-only, then a summary line; the exit status is 0 when nothing differs and 1
-otherwise.
+only, and under it, for each CSV column or JSON key whose values differ, how
+many values differ and the largest relative change among the numeric ones
+(JSON list elements count under their key, written `key[]`).  A summary line
+follows; the exit status is 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +121,66 @@ def payload(out: str) -> dict[str, bytes]:
     return result
 
 
+def fields(name: str, data: bytes) -> dict[str, list]:
+    """{CSV column or JSON key: its values in order} of one artifact."""
+    text = data.decode()
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        return {col: [row[i] for row in rows[1:]]
+                for i, col in enumerate(rows[0] if rows else [])}
+    out: dict[str, list] = {}
+
+    def walk(key: str, value) -> None:
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(f"{key}.{k}" if key else k, v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(key + "[]", v)
+        else:
+            out.setdefault(key, []).append(value)
+
+    walk("", json.loads(text))
+    return out
+
+
+def relative_change(a, b) -> float | None:
+    """|b - a| / |a| for two numbers (inf when a is 0), or None if either
+    is not a number."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(y - x) / abs(x) if x and math.isfinite(x) else math.inf
+
+
+def describe(name: str, a: bytes, b: bytes) -> list[str]:
+    """One line per column or key of artifact `name` whose values differ."""
+    try:
+        fa, fb = fields(name, a), fields(name, b)
+    except ValueError:  # neither CSV nor JSON
+        return []
+    lines = []
+    for key in list(fa) + [k for k in fb if k not in fa]:
+        va, vb = fa.get(key, []), fb.get(key, [])
+        changes = [relative_change(x, y) for x, y in zip(va, vb) if x != y]
+        extra = abs(len(va) - len(vb))
+        if not changes and not extra:
+            continue
+        line = f"    {key}: {len(changes) + extra} of {max(len(va), len(vb))} differ"
+        numeric = [c for c in changes if c is not None]
+        if numeric:
+            line += f", largest relative change {max(numeric):.2e}"
+        if extra:
+            line += f" ({len(va)} values -> {len(vb)})"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -146,6 +211,8 @@ def main(argv=None) -> int:
                     side = ("" if art in a and art in b else
                             " (parent only)" if art in a else " (change only)")
                     print(f"{name}: {art} differs{side}")
+                    for line in describe(art, a[art], b[art]) if not side else []:
+                        print(line)
     print(f"{len(configs)} configs, {n_artifacts} artifacts compared, "
           f"{n_differ} differ")
     return 1 if n_differ else 0

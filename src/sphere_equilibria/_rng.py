@@ -9,10 +9,17 @@ reproduce bit-identically.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
+
+try:  # the builtin module: hashlib would load OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,5 +43,5 @@ def derive_seed(master_seed: int, name: str) -> int:
     sha256 of ``"{master_seed}:{name}"``, truncated to 8 bytes.  Adding new
     task names never perturbs the seeds of existing ones.
     """
-    digest = hashlib.sha256(f"{int(master_seed)}:{name}".encode()).digest()
+    digest = sha256(f"{int(master_seed)}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little")

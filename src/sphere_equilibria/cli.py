@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -32,7 +31,7 @@ from dataclasses import (MISSING, asdict, dataclass, fields, is_dataclass,
 import numpy as np
 
 from . import __version__
-from ._rng import derive_seed, sphere_points
+from ._rng import derive_seed, sha256, sphere_points
 from .dynamics import run_to_equilibrium_batch
 from .elliptic import (EllipticParams, expected_counts_in_bins,
                        expected_real_count, mean_real_count,
@@ -297,7 +296,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return sha256(blob).hexdigest()
 
 
 def parse_config(path) -> ExperimentConfig:

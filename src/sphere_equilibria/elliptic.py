@@ -47,6 +47,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DENSITY_REL_TOL = 1e-10
 # points per `_psi_hat_scan` pass in `log_rho_real_exact`
 _SCAN_CHUNK = 6144
+# most matrix entries in one piece of `elliptic_batches` (512 matrices at n = 8)
+_PIECE_ENTRIES = 2 ** 15
 # elementwise erf/erfc from the C library; otypes lets them take empty arrays
 _erf = np.vectorize(math.erf, otypes=[float])
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -87,9 +89,15 @@ def sample_elliptic_batch(p: EllipticParams, trials: int, seed: int,
     2, A off-diagonal variance 1).  The resulting entries satisfy
     Var(X_ij) = 1 off-diagonal, Var(X_ii) = 1 + tau, Cov(X_ij, X_ji) = tau.
     """
-    g = stream(seed, stream_id).standard_normal((trials, p.n, p.n))
+    return _elliptic_from_normals(
+        p, stream(seed, stream_id).standard_normal((trials, p.n, p.n)))
+
+
+def _elliptic_from_normals(p: EllipticParams, g: np.ndarray) -> np.ndarray:
+    """The matrices of `sample_elliptic_batch` built from the iid standard
+    Gaussian ones `g`."""
     gt = np.swapaxes(g, -1, -2)
-    # in place, so at most three batch-sized arrays are alive at once
+    # in place, so at most three arrays of g's size are alive at once
     s = g + gt
     s /= np.sqrt(2.0)
     a = g - gt
@@ -105,13 +113,20 @@ def elliptic_batches(p: EllipticParams, trials: int, seed: int,
                      chunk: int = 4096):
     """The draw schedule of every Monte Carlo estimator in the package.
 
-    Yields `trials` matrices in batches of `chunk` (the last one shorter);
+    Draws `trials` matrices in batches of `chunk` (the last one shorter);
     batch k comes from Philox stream k of `seed`, so an estimate is a pure
-    function of (p, trials, seed, chunk).
+    function of (p, trials, seed, chunk).  Each batch is drawn and yielded
+    in consecutive pieces of at most `_PIECE_ENTRIES` matrix entries (one
+    matrix at least).  A stream's consecutive draws are its one draw of the
+    whole batch, bit for bit, so the pieces only bound the memory in use.
     """
+    piece = max(1, _PIECE_ENTRIES // (p.n * p.n))
     for k, start in enumerate(range(0, trials, chunk)):
-        yield sample_elliptic_batch(p, min(chunk, trials - start), seed,
-                                    stream_id=k)
+        gen = stream(seed, k)
+        size = min(chunk, trials - start)
+        for done in range(0, size, piece):
+            yield _elliptic_from_normals(
+                p, gen.standard_normal((min(piece, size - done), p.n, p.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,5 +495,5 @@ def expected_counts_in_bins(p: EllipticParams, edges: np.ndarray) -> np.ndarray:
     edges = np.asarray(edges, dtype=float).tolist()
     res = log_quad_many(lambda xs, owner: log_rho_real_exact(p, xs),
                         list(zip(edges[:-1], edges[1:])),
-                        rel_tol=_DENSITY_REL_TOL, initial_panels=16)
+                        rel_tol=_DENSITY_REL_TOL)
     return np.array([r.value for r in res])

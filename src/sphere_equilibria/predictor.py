@@ -162,8 +162,7 @@ def _density_quads(p: EllipticParams, b2s: list[float],
         return (-0.5 * p.n * (lams * inv_widths[owner]) ** 2
                 + log_rho_real_exact(p, nodes * sqrt_n, weighted=False)[where])
 
-    return log_quad_many(log_integrand, intervals, rel_tol=_QUAD_REL_TOL,
-                         initial_panels=96)
+    return log_quad_many(log_integrand, intervals, rel_tol=_QUAD_REL_TOL)
 
 
 def mean_totals_exact(dps: list[DerivedParams], n: int
@@ -354,7 +353,7 @@ def crossover_gamma(tau: float, gamma: float) -> float:
     def logf(lams: np.ndarray) -> np.ndarray:
         return 0.5 * gamma * (1.0 - lams * lams)
 
-    quad = log_quad(logf, 0.0, 1.0, rel_tol=_CROSSOVER_REL_TOL, initial_panels=32)
+    quad = log_quad(logf, 0.0, 1.0, rel_tol=_CROSSOVER_REL_TOL)
     return (4.0 * math.sqrt(1.0 / (2.0 * math.pi))
             * math.sqrt((1.0 + tau) / (1.0 - tau)) * quad.value)
 
@@ -390,7 +389,7 @@ def crossover_kappa(tau: float, kappa: float) -> float:
 
     lo = -(50.0 / kt + 4.0)
     hi = 0.5 * kt + 12.0
-    quad = log_quad(logf, lo, hi, rel_tol=_CROSSOVER_REL_TOL, initial_panels=64)
+    quad = log_quad(logf, lo, hi, rel_tol=_CROSSOVER_REL_TOL)
     return 4.0 * quad.value
 
 

@@ -17,6 +17,8 @@ from .errors import NumericalError, ParameterError
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1]
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# equal panels every integral starts from; bisection refines from there
+_FIRST_PANELS = 16
 # bisection rounds before `log_quad` gives up
 _MAX_ROUNDS = 24
 # most panels one integral may evaluate in a round, so memory stays bounded
@@ -84,9 +86,8 @@ class LogQuadResult:
 class _Integral:
     """The panels of one integral between rounds of `log_quad_many`."""
 
-    def __init__(self, a: float, b: float, initial_panels: int,
-                 rel_tol: float):
-        edges = np.linspace(a, b, initial_panels + 1)
+    def __init__(self, a: float, b: float, rel_tol: float):
+        edges = np.linspace(a, b, _FIRST_PANELS + 1)
         self.lo, self.hi = edges[:-1], edges[1:]
         self.mid = None  # panel midpoints, set by `groups` for `step`
         self.parent = None  # panel log-integrals, once the first round ran
@@ -145,8 +146,8 @@ class _Integral:
                              self.n_refine, self.worst)
 
 
-def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12,
-                  initial_panels: int = 64) -> list[LogQuadResult]:
+def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
+                  ) -> list[LogQuadResult]:
     """`log_quad` of one integrand family over each (a, b) of `intervals`.
 
     Every integral is refined exactly as `log_quad` refines it alone, with
@@ -162,7 +163,7 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12,
             raise ParameterError("log_quad requires finite bounds; truncate first")
     results = [LogQuadResult(-np.inf, 0, 0, 0.0) if b <= a else None
                for a, b in intervals]
-    live = {j: _Integral(a, b, initial_panels, rel_tol)
+    live = {j: _Integral(a, b, rel_tol)
             for j, (a, b) in enumerate(intervals) if b > a}
     for _ in range(_MAX_ROUNDS):
         if not live:
@@ -179,14 +180,15 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12,
     return results
 
 
-def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12,
-             initial_panels: int = 64) -> LogQuadResult:
+def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12
+             ) -> LogQuadResult:
     """Integrate exp(logf) over [a, b], returning the log of the integral.
 
-    Panels are bisected until each panel's two-half refinement changes the
-    estimate by less than ``rel_tol`` of the current total, for at most
-    `_MAX_ROUNDS` rounds of 16-point Gauss-Legendre panels.  `logf` must be
-    vectorized and may return -inf.
+    Starting from `_FIRST_PANELS` equal panels, panels are bisected until
+    each panel's two-half refinement changes the estimate by less than
+    ``rel_tol`` of the current total, for at most `_MAX_ROUNDS` rounds of
+    16-point Gauss-Legendre panels.  `logf` must be vectorized and may
+    return -inf.
 
     Parameters
     ----------
@@ -196,5 +198,5 @@ def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12,
         Finite integration bounds; b <= a gives log 0.
     """
     (res,) = log_quad_many(lambda xs, owner: logf(xs), [(a, b)],
-                           rel_tol=rel_tol, initial_panels=initial_panels)
+                           rel_tol=rel_tol)
     return res

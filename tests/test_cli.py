@@ -300,32 +300,31 @@ class TestRunner:
         assert rows[0] == ["lambda", "rho", "method"]
         assert len(rows) == 202  # header + the 201-point Chebyshev grid
 
-    # SHA-256 over every artifact but the manifest.  spectra-validate was
-    # recorded before the density profile container was replaced by a
-    # histogram function; the three kinds with exact counts were re-recorded
-    # when both routes took the closed-form Gaussian weight, which moved
-    # their exact and predicted values in the last bits
+    # SHA-256 over every artifact but the manifest.  All four were
+    # re-recorded when every quadrature started from 16 panels, which moved
+    # the exact and predicted values and the density integral (with
+    # spectra-validate's count_z) in their last bits
     PINNED_PAYLOADS = {
         "spectra-validate": ({"kind": "spectra-validate", "n": 4, "tau": -0.5,
                               "trials": 3000, "bins": 5, "seed": 5},
-                             "1c063a65965bf5c891eea7ce36035d18"
-                             "2d62b84a46ca83c05a3b4697248b7c9d"),
+                             "aa1863bb9e277421b21af50cf4ce96f0"
+                             "a980046efe44a5ad335896892f240e42"),
         "predict-sweep": ({**MINIMAL_SWEEP, "sigma_grid": [0.5, 2.0],
                            "n_list": [100]},
-                          "78c1b987c73618e046b2501e5acb0419"
-                          "6630c39f920abd586399216f1091d2aa"),
+                          "6e9547a9dc7cf32a89902085cbc127fa"
+                          "7e9a8eeb960fad7027c6f1db496adb9f"),
         # exact counts on both sides of sigma_c ~ 1.04
         "transition-curve": ({"kind": "transition-curve",
                               "model": MINIMAL_SWEEP["model"], "n": 10,
                               "sigma_grid": [0.0, 0.6, 1.5, 2.5],
                               "mc_instances": 0, "seed": 3},
-                             "adc8c164fbd27870d27b1a262610fed8"
-                             "60443ecb3fe27e14b6041c9b40a33834"),
+                             "e7505eeecba1072d908c6da764546d38"
+                             "977c184c4e53a53e7aded1749cf39b2d"),
         "mc-count": ({"kind": "mc-count", "model": {**MODEL4, "sigma": 0.5},
                       "instances": 3, "lambda_bins": 5,
                       "solver": {"n_starts": 200}, "seed": 2},
-                     "4b5c21f5b3a50c4a92a4896d96e5c59f"
-                     "f0a234b979ad149fe9ec385cc51d534b"),
+                     "0c6ee0b83ad881ac265ee6332719eadd"
+                     "86df4174e64cf572f065e6e2c5fa849b"),
     }
 
     @pytest.mark.parametrize("kind", PINNED_PAYLOADS)
@@ -556,3 +555,15 @@ class TestImportGraph:
             timeout=300)
         assert json.loads(proc.stdout.splitlines()[-1]) == []
         assert (tmp_path / "dyn" / "equilibria.json").exists()
+
+    def test_prediction_does_not_load_hashlib(self, tmp_path):
+        # seeds and config hashes take the builtin SHA-256, so a run that
+        # draws no random numbers never loads hashlib and OpenSSL with it
+        child = CHILD_RUN.replace('("scipy.linalg", "scipy.special")',
+                                  '("hashlib", "_hashlib")')
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path),
+             json.dumps({"sweep": MINIMAL_SWEEP})],
+            env=package_env(), check=True, capture_output=True, text=True,
+            timeout=300)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 
 from sphere_equilibria import cli
 from sphere_equilibria.elliptic import (EllipticParams, _erf, _erfc,
-                                        _psi_hat_scan,
+                                        _psi_hat_scan, elliptic_batches,
                                         expected_counts_in_bins,
                                         expected_real_count,
                                         log_rho_real_exact, mean_real_count,
@@ -213,6 +213,19 @@ class TestSampling:
         cross = (x12 * x21).mean()
         se = (x12 * x21).std(ddof=1) / math.sqrt(m)
         assert abs(cross - want_cross) < 3 * se
+
+    def test_batches_are_drawn_in_pieces(self):
+        # each batch of `chunk` draws (the last one shorter) is drawn in
+        # pieces of at most 2^15 entries, one matrix at least; the pieces
+        # of a batch are its one draw from its stream, bit for bit
+        for p, trials, chunk in ((EllipticParams(8, 0.3), 3000, 1200),
+                                 (EllipticParams(200, -0.4), 5, 2)):
+            pieces = list(elliptic_batches(p, trials, 7, chunk))
+            assert max(map(len, pieces)) == max(1, 2 ** 15 // p.n ** 2)
+            batches = [sample_elliptic_batch(p, min(chunk, trials - start), 7, k)
+                       for k, start in enumerate(range(0, trials, chunk))]
+            assert np.array_equal(np.concatenate(pieces),
+                                  np.concatenate(batches))
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):

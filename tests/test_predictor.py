@@ -9,6 +9,8 @@ import scipy.integrate
 import scipy.special
 from numpy.testing import assert_allclose
 
+from sphere_equilibria import quadrature
+from sphere_equilibria.elliptic import EllipticParams, expected_counts_in_bins
 from sphere_equilibria.errors import DomainError, ParameterError
 from sphere_equilibria.field_model import ModelParams, covariance_pair
 from sphere_equilibria.predictor import (DerivedParams, asympt_fixed,
@@ -272,6 +274,32 @@ class TestExactCounts:
         assert got[3].value == 0.0 and got[3].log_value == -math.inf
         assert_allclose(sum(r.value for r in got),
                         mean_total_exact(dp, 100).value, rtol=1e-10)
+
+    @pytest.mark.parametrize("tau", [-0.9, 0.0, 0.455, 1.0])
+    def test_first_round_size_does_not_move_counts(self, tau, monkeypatch):
+        # sigma_c = 1/4, where b^2 = 1 exactly; at tau = 1 (GOE) the density
+        # oscillates
+        dps = [DerivedParams.from_values(0.9375, 1.0, tau, s)
+               for s in (0.0, 0.25, 0.5, 2500.0)]
+        assert dps[1].b2 == 1.0
+        intervals = [(-math.inf, 0.0), (-1.0, 1.0), (0.5, math.inf),
+                     (-math.inf, math.inf)]
+
+        def counts():
+            return [([c.log_value for c in mean_totals_exact(dps, n)],
+                     [c.log_value for dp in dps
+                      for c in mean_in_intervals(dp, n, intervals)],
+                     expected_counts_in_bins(
+                         EllipticParams(n, tau),
+                         np.linspace(-3.0, 3.0, 13) * math.sqrt(n)))
+                    for n in (4, 100, 400)]
+
+        at16 = counts()
+        monkeypatch.setattr(quadrature, "_FIRST_PANELS", 96)
+        for (tot16, int16, bins16), (tot96, int96, bins96) in zip(at16, counts()):
+            assert_allclose(tot96, tot16, rtol=0, atol=1e-12)
+            assert_allclose(int96, int16, rtol=0, atol=1e-12)
+            assert_allclose(bins96, bins16, rtol=1e-10)
 
     def test_sweep_needs_one_tau(self):
         with pytest.raises(ParameterError, match="one tau"):

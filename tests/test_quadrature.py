@@ -34,19 +34,17 @@ def fields(res):
     return (res.log_value, res.n_panels, res.n_refinements, res.max_rel_error)
 
 
-@pytest.mark.parametrize("initial_panels", [4, 16, 96])
-def test_lockstep_equals_separate_calls(initial_panels):
+@pytest.mark.parametrize("first_panels", [4, 16, 96])
+def test_lockstep_equals_separate_calls(first_panels, monkeypatch):
+    monkeypatch.setattr(quadrature, "_FIRST_PANELS", first_panels)
     intervals = [(a, b) for _, a, b in FAMILY]
-    together = log_quad_many(family_logf, intervals, rel_tol=1e-12,
-                             initial_panels=initial_panels)
+    together = log_quad_many(family_logf, intervals, rel_tol=1e-12)
     for (f, a, b), res in zip(FAMILY, together):
-        alone = log_quad(f, a, b, rel_tol=1e-12,
-                         initial_panels=initial_panels)
+        alone = log_quad(f, a, b, rel_tol=1e-12)
         assert fields(res) == fields(alone)
     # order does not matter either
     rev = log_quad_many(lambda xs, owner: family_logf(xs, len(FAMILY) - 1 - owner),
-                        intervals[::-1], rel_tol=1e-12,
-                        initial_panels=initial_panels)
+                        intervals[::-1], rel_tol=1e-12)
     assert [fields(r) for r in rev[::-1]] == [fields(r) for r in together]
 
 
@@ -77,7 +75,7 @@ def test_the_family_exercises_every_branch():
 
     for k, (f, a, b) in enumerate(FAMILY):
         calls.clear()
-        res = log_quad(counted(f), a, b, rel_tol=1e-12, initial_panels=16)
+        res = log_quad(counted(f), a, b, rel_tol=1e-12)
         if k in (1, 2):  # the first round, then at least two refinements
             assert len(calls) >= 3 and res.n_refinements > 0
         if k == 3:
@@ -88,32 +86,36 @@ def test_the_family_exercises_every_branch():
                         0.5 * math.sqrt(math.pi) * math.erf(3.0), rel_tol=1e-12)
 
 
-def test_one_scan_per_round():
-    # the initial panels are evaluated with the first round's halves
+def test_one_scan_per_round(monkeypatch):
+    # the first panels are evaluated with the first round's halves
+    monkeypatch.setattr(quadrature, "_FIRST_PANELS", 8)
     sizes = []
 
     def logf(xs, owner):
         sizes.append(len(xs))
         return -xs * xs
 
-    log_quad_many(logf, [(0.0, 1.0), (0.0, 2.0)], initial_panels=8)
+    log_quad_many(logf, [(0.0, 1.0), (0.0, 2.0)])
     assert sizes[0] == 2 * 3 * 8 * 16
 
 
-def test_non_convergence_raises():
+def test_non_convergence_raises(monkeypatch):
     # a jump no bisection resolves to 1e-15 in 24 rounds
+    monkeypatch.setattr(quadrature, "_FIRST_PANELS", 2)
+
     def logf(xs):
         return np.where(xs < 1.0 / 3.0, 0.0, 30.0)
 
     with pytest.raises(NumericalError, match="did not converge"):
         log_quad_many(lambda xs, owner: logf(xs), [(0.0, 1.0), (0.0, 0.5)],
-                      rel_tol=1e-30, initial_panels=2)
+                      rel_tol=1e-30)
 
 
 def test_panel_bound_raises(monkeypatch):
     # an integrand that oscillates on a scale of 1e-9 fails every panel test,
     # so the panels double each round until one integral holds too many
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 256)
+    monkeypatch.setattr(quadrature, "_FIRST_PANELS", 64)
     rounds = []
 
     def logf(xs, owner):
@@ -121,7 +123,7 @@ def test_panel_bound_raises(monkeypatch):
         return 30.0 * np.sin(1e9 * xs)
 
     with pytest.raises(NumericalError, match="over the bound of 256"):
-        log_quad_many(logf, [(0.0, 1.0)], initial_panels=64)
+        log_quad_many(logf, [(0.0, 1.0)])
     # 64 + 128 panels, then 256, then the next round's 512 is refused
     assert rounds == [16 * 192, 16 * 256]
 
