@@ -561,6 +561,7 @@ class TestImportGraph:
         # draws no random numbers never loads hashlib and OpenSSL with it
         child = CHILD_RUN.replace('("scipy.linalg", "scipy.special")',
                                   '("hashlib", "_hashlib")')
+        assert child != CHILD_RUN
         proc = subprocess.run(
             [sys.executable, "-c", child, str(tmp_path),
              json.dumps({"sweep": MINIMAL_SWEEP})],
