@@ -14,8 +14,9 @@ checkouts in two concurrent child processes with BLAS pinned to one thread.
 Per instance the script prints every difference in `n_found`, `saturated`,
 `basin_hits`, `n_converged_starts` and the bits of the representatives
 (x, lam, residual and tangent spectrum, every per-root output that
-`equilibria.json` carries), then a summary line per field.  The exit status is 0
-when nothing differs and 1 otherwise.
+`equilibria.json` carries), then a summary line per field and each side's
+total `n_converged_starts`, so a change to the start work states its trade in
+one line.  The exit status is 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def main(argv=None) -> int:
         return 2
     parent, change = (json.loads(out) for out in outs)
     diffs, counts = compare(parent, change)
+    converged = [sum(r["n_converged_starts"] for r in side)
+                 for side in (parent, change)]
 
     for d in diffs:
         print(f"mc seed {d['seed']} instance {d['instance']} "
@@ -130,10 +133,13 @@ def main(argv=None) -> int:
               + "; ".join(f"{k} {d[k][0]} -> {d[k][1]}"
                           for k in FIELDS if k in d))
     print(f"{len(parent)} instances compared, {len(diffs)} differ: "
-          + ", ".join(f"{k} {counts[k]}" for k in FIELDS))
+          + ", ".join(f"{k} {counts[k]}" for k in FIELDS)
+          + f"; converged starts {converged[0]} -> {converged[1]}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"instances": len(parent), "differing": counts,
+                       "converged_starts": dict(zip(("parent", "change"),
+                                                    converged)),
                        "diffs": diffs}, fh, indent=1)
             fh.write("\n")
     return 1 if diffs else 0

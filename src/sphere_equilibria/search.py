@@ -7,7 +7,7 @@ An equilibrium is a pair (x, lam) solving the bordered system
 All starts are advanced simultaneously: the batched (N+1)-dimensional Newton
 step uses the analytic field Jacobian plus the bordering row/column, damped by
 residual-monotone step halving.  Each row tries the step lengths t = 2^-k
-lazily, in the blocks of levels 0 (the full step), 1-2, 3-6, 7-14 and 15-30
+lazily, in the blocks of levels 0 (the full step), 1-2, 3-6 and 7-14
 (`_MAX_HALVINGS`), and leaves at the first block that holds a level passing
 the Armijo test.  The constraint term C = |x|^2 - N costs O(N) and
 bounds the residual from below, so a candidate whose |C| already fails the
@@ -43,13 +43,14 @@ __all__ = [
 _SATURATION_FRACTION = 0.25
 # Newton controls: max-norm residual of a converged start, iteration cap,
 # deepest halving level 2^-k of the line search, and largest N enumerated.
-# The halving cap ends the fourth doubling block (15-30): deeper levels serve
-# almost only starts that never converge (on the 2,500 instances of
-# acceptance criterion 04, 2 of 1,352,494 converging starts took a shorter
-# step)
+# The halving cap ends the third doubling block (7-14): deeper levels serve
+# almost only starts that never converge.  On the 2,500 instances of
+# acceptance criterion 04 the levels 15-30 of a 2^-30 cap saved 1,982 of
+# 1,352,492 converging starts and changed no root count or saturation flag,
+# while on N = 4 instances they took about half of the field rows evaluated
 _TOL = 1e-10
 _MAX_ITER = 80
-_MAX_HALVINGS = 30
+_MAX_HALVINGS = 14
 _MAX_DIM = 10
 
 
@@ -197,7 +198,7 @@ def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
         delta = _solve_batch(a_mat, rhs)
 
         # damped update: trial steps t = 2^-k in the level blocks 0 (the full
-        # step), 1-2, 3-6, 7-14, ... (capped at _MAX_HALVINGS); a row takes
+        # step), 1-2, 3-6 and 7-14 (capped at _MAX_HALVINGS); a row takes
         # the first passing level of the first block that holds one.  Only
         # block 0 and a cap-cut last block have one level, so only they give
         # one-row candidate batches (of a lone row): numpy sends a one-row

@@ -199,16 +199,24 @@ def pinned_report(n, sigma, seed):
 class TestPinnedOutputs:
     """Integer outputs of fixed instances, recorded before the lazy line
     search, the batch-innermost field contraction and the vectorized dedup
-    replaced their predecessors; all three must keep them bit for bit."""
+    replaced their predecessors; all three must keep them bit for bit.
+
+    The halving cap of 2^-14 moved some of them, and they were re-recorded
+    there: the basin hits and converged starts of instances (4, 0.0, 11) and
+    (8, 0.0, 13), each one start or two that crawled to its root only through
+    shorter steps, and the `test_one_row_batches` digests, where a row that
+    stalls earlier leaves its partner a lone one-row batch.  No root count or
+    saturation flag moved, and with `_MAX_HALVINGS` set back to 30 every old
+    value returns."""
 
     # sigma = 1.039... is sigma_c of this model
     INSTANCES = [(4, 0.0, 11), (4, 1.0392304845413265, 12), (8, 0.0, 13)]
 
     @pytest.mark.parametrize("n, sigma, seed, n_found, hits, n_conv", [
-        (4, 0.0, 11, 8, [96, 86, 62, 69, 162, 133, 56, 103], 767),
+        (4, 0.0, 11, 8, [95, 86, 62, 69, 162, 133, 56, 103], 766),
         (4, 1.0392304845413265, 12, 4, [224, 78, 53, 81], 436),
-        (8, 0.0, 13, 14, [62, 63, 168, 110, 159, 134, 94, 133, 103, 132, 86,
-                          66, 111, 42], 1463),
+        (8, 0.0, 13, 14, [62, 63, 168, 110, 159, 133, 94, 133, 103, 132, 85,
+                          66, 111, 42], 1461),
     ])
     def test_counts_hits_and_saturation(self, n, sigma, seed, n_found, hits,
                                         n_conv):
@@ -228,20 +236,49 @@ class TestPinnedOutputs:
         assert h.hexdigest() == ("021834a19223cf7ff0ce09023ddbe68e"
                                  "73e8358303ffbf0804aaa7aadbb40915")
 
-    def test_halving_cap_drops_one_converging_start(self):
-        # criterion 04's mc seed 903, instance 7, as `mc_mean_count` solves
-        # it: one start reaches the second root (by lam) only through a step
-        # of 2^-35, below the halving cap, so it stalls out; the roots stay
-        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2,
-                        sigma=1.5588457268119897)
-        assert default_n_starts(p) == 788
-        inst = sample_field(p, derive_seed(903, "instance-7"))
-        rep = find_equilibria(inst, n_starts=788,
-                              seed=derive_seed(903, "starts-7"))
+    @pytest.mark.parametrize("mc_seed, i, sigma, budget, hits, n_conv", [
+        (903, 7, 1.5588457268119897, 788, [107, 62, 80, 61], 310),
+        (904, 458, 2.078460969082653, 623, [64, 20, 31, 47], 162),
+    ], ids=["903-7", "904-458"])
+    def test_halving_cap_drops_one_converging_start(self, mc_seed, i, sigma,
+                                                    budget, hits, n_conv):
+        # criterion 04's instances as `mc_mean_count` solves them: in each
+        # one start reaches a root only through a step below the halving cap
+        # (2^-35 in 903-7; in 904-458 a cap of 2^-30 still lets it through,
+        # to hits [64, 20, 32, 47] and 163 converged starts), so it stalls
+        # out; the roots stay
+        p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma)
+        assert default_n_starts(p) == budget
+        inst = sample_field(p, derive_seed(mc_seed, f"instance-{i}"))
+        rep = find_equilibria(inst, n_starts=budget,
+                              seed=derive_seed(mc_seed, f"starts-{i}"))
         assert rep.n_found == 4
-        assert [pt.basin_hits for pt in rep.points] == [107, 62, 80, 61]
-        assert rep.n_converged_starts == 310
+        assert [pt.basin_hits for pt in rep.points] == hits
+        assert rep.n_converged_starts == n_conv
         assert rep.saturated
+
+    @pytest.mark.parametrize("sigma_index", [2, 4])
+    def test_halving_cap_keeps_counts(self, monkeypatch, sigma_index):
+        # ten criterion-04 instances at sigma_c and 2 sigma_c, solved at the
+        # shipped cap and at 2^-30: a shorter step may save a crawling start,
+        # never a root or the saturation flag
+        model = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2)
+        sigma_c = derived_params(covariance_pair(model), 0.0).sigma_c
+        p = dataclasses.replace(model, sigma=float(
+            np.linspace(0.0, 2.0 * sigma_c, 5)[sigma_index]))
+        mc_seed, budget = 900 + sigma_index, default_n_starts(p)
+
+        def solve(i):
+            inst = sample_field(p, derive_seed(mc_seed, f"instance-{i}"))
+            return find_equilibria(inst, budget,
+                                   derive_seed(mc_seed, f"starts-{i}"))
+
+        shipped = [solve(i) for i in range(10)]
+        monkeypatch.setattr(search, "_MAX_HALVINGS", 30)
+        for rep, deep in zip(shipped, map(solve, range(10))):
+            assert rep.n_found == deep.n_found
+            assert rep.saturated == deep.saturated
+            assert rep.n_converged_starts <= deep.n_converged_starts
 
     def test_three_halvings_small_budget(self, monkeypatch):
         # recorded before the constraint screen of the line search: with
@@ -283,10 +320,10 @@ class TestPinnedOutputs:
                     roots.update(pt.x.tobytes())
                     roots.update(np.float64(pt.lam).tobytes())
                     residuals.update(np.float64(pt.residual).tobytes())
-        assert roots.hexdigest() == ("33078c9accfe8a71138c66ca65c18787"
-                                     "e678438a66ef10cc1d9d79d35a89a23f")
-        assert residuals.hexdigest() == ("9dd21b4b75f2dceb484a8a0e4f9e75ae"
-                                         "850bc425d7dcf209d59a1389109813db")
+        assert roots.hexdigest() == ("c8a56a018cea90e006b100182065a5aa"
+                                     "8dae3670387f9a0706ed279a402580b2")
+        assert residuals.hexdigest() == ("41a3effbbbc43bf6ffb2b284546961af"
+                                         "9530f796f9433e3720433cf21d71f256")
 
 
 def dedup_by_pairs(xs, radius):
