@@ -336,14 +336,14 @@ def support_lambda_max(n: int, tau: float) -> float:
     """lam beyond which the density at lam*sqrt(N) is below 1e-16 of the bulk.
 
     Uses the outside-the-bulk exponential bound; bisection on the decay rate.
+    (n, tau) must be valid `EllipticParams`.
     """
+    EllipticParams(n, tau)
     target = -math.log(1e-16) / n
     lo = 1.0 + tau + 1e-9
     hi = lo + 1.0
     while _outside_rate(tau, hi) < target + math.log(10.0 * n) / n:
         hi *= 2.0
-        if hi > 1e6:  # pragma: no cover - defensive
-            break
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if _outside_rate(tau, mid) < target + math.log(10.0 * n) / n:

@@ -25,6 +25,7 @@ from .errors import ParameterError
 __all__ = [
     "ModelParams",
     "CovariancePair",
+    "admissible_phi2",
     "FieldInstance",
     "sample_field",
     "covariance_pair",
@@ -73,20 +74,15 @@ class CovariancePair:
 
         Phi1(u) = (1 + alpha1^2) J1^2 u + (1 + 2 alpha2^2) J2^2 u^2
         Phi2(u) = 2 alpha1 J1^2 + 2 alpha2 (2 + alpha2) J2^2 u
+
+    Its values at u = 1 must pass `admissible_phi2`.
     """
 
     phi1_coeffs: tuple[float, float, float]  # constant, u, u^2
     phi2_coeffs: tuple[float, float]         # constant, u
 
     def __post_init__(self):
-        p1, dp1, p2 = self.phi1(1.0), self.dphi1(1.0), self.phi2(1.0)
-        if not p1 > 0:
-            raise ParameterError(f"Phi1(1) must be positive, got {p1}")
-        if dp1 < p1 - 1e-12 * abs(p1):
-            raise ParameterError(f"Phi1'(1) = {dp1} < Phi1(1) = {p1}")
-        if not (-p1 - 1e-12 <= p2 <= dp1 + 1e-12 * max(abs(dp1), 1.0)):
-            raise ParameterError(
-                f"Phi2(1) = {p2} outside the admissible band [-Phi1(1), Phi1'(1)]")
+        admissible_phi2(self.phi1(1.0), self.dphi1(1.0), self.phi2(1.0))
 
     def phi1(self, u):
         c0, c1, c2 = self.phi1_coeffs
@@ -108,6 +104,26 @@ class CovariancePair:
 
     def d2phi2(self, u):
         return 0.0 * u
+
+
+def admissible_phi2(phi1: float, dphi1: float, phi2: float) -> float:
+    """The package's one admissibility rule, for `CovariancePair` and
+    `DerivedParams.from_values`: Phi1(1) > 0, Phi1'(1) >= Phi1(1) and Phi2(1)
+    in [-Phi1(1), Phi1'(1)] up to 1e-12 Phi1'(1), else `ParameterError`.
+
+    Models meet each band edge quadratically in their asymmetry, so one 1e-9
+    from an edge can round past it.  Phi2(1) is returned snapped onto the
+    band, so tau = Phi2(1) / Phi1'(1) lies in [-1, 1] exactly.
+    """
+    if not phi1 > 0:
+        raise ParameterError(f"Phi1(1) must be positive, got {phi1}")
+    if not dphi1 >= phi1:
+        raise ParameterError(f"Phi1'(1) = {dphi1} < Phi1(1) = {phi1}")
+    slack = 1e-12 * dphi1
+    if not -phi1 - slack <= phi2 <= dphi1 + slack:
+        raise ParameterError(
+            f"Phi2(1) = {phi2} outside the admissible band [-Phi1(1), Phi1'(1)]")
+    return min(max(phi2, -phi1), dphi1)
 
 
 def covariance_pair(params: ModelParams) -> CovariancePair:

@@ -30,7 +30,7 @@ import numpy as np
 from .elliptic import (EllipticParams, elliptic_batches, log_rho_real_exact,
                        rho_real_edge, support_lambda_max)
 from .errors import DomainError, ParameterError
-from .field_model import CovariancePair
+from .field_model import CovariancePair, admissible_phi2
 from .quadrature import LogQuadResult, log_quad, log_quad_many
 
 __all__ = [
@@ -76,14 +76,9 @@ class DerivedParams:
     @classmethod
     def from_values(cls, phi1: float, dphi1: float, phi2: float,
                     sigma: float) -> "DerivedParams":
-        """Build from the covariance values (Phi1(1), Phi1'(1), Phi2(1)) and sigma."""
-        if not (phi1 > 0):
-            raise ParameterError(f"Phi1(1) must be positive, got {phi1}")
-        if dphi1 < phi1:
-            raise ParameterError(f"Phi1'(1) = {dphi1} < Phi1(1) = {phi1}")
-        if not (-phi1 <= phi2 <= dphi1):
-            raise ParameterError(
-                f"Phi2(1) = {phi2} outside the admissible band [-Phi1(1), Phi1'(1)]")
+        """Build from the covariance values (Phi1(1), Phi1'(1), Phi2(1)) and
+        sigma; the values must pass `field_model.admissible_phi2`."""
+        phi2 = admissible_phi2(phi1, dphi1, phi2)
         if sigma < 0:
             raise ParameterError(f"sigma must be nonnegative, got {sigma}")
         tau = phi2 / dphi1

@@ -19,7 +19,7 @@ from .errors import NumericalError, ParameterError
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 # equal panels every integral starts from; bisection refines from there
 _FIRST_PANELS = 16
-# bisection rounds before `log_quad` gives up
+# bisection rounds before an unresolved panel raises `NumericalError`
 _MAX_ROUNDS = 24
 # most panels one integral may evaluate in a round, so memory stays bounded
 _MAX_PANELS = 2 ** 16
@@ -93,7 +93,6 @@ class _Integral:
         self.parent = None  # panel log-integrals, once the first round ran
         self.accepted: list[float] = []
         self.n_refine = 0
-        self.worst = 0.0
         self.rel_tol = rel_tol
 
     def groups(self, j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -117,9 +116,6 @@ class _Integral:
         # panel discrepancy relative to the running total
         err = np.abs(np.exp(self.parent - total) - np.exp(children - total))
         done = err <= self.rel_tol
-        self.worst = (float(err[~done].max()) if np.any(~done)
-                      else float(err.max(initial=0.0)))
-
         self.accepted.extend(children[done].tolist())
         if np.all(done):
             return LogQuadResult(total, len(self.accepted), self.n_refine,
@@ -135,16 +131,6 @@ class _Integral:
                 f"{2 * len(self.lo)} panels, over the bound of {_MAX_PANELS}")
         return None
 
-    def give_up(self) -> LogQuadResult:
-        """Out of rounds: include the unfinished panels and report the error."""
-        total = _logsumexp(np.concatenate([np.array(self.accepted), self.parent]))
-        if self.worst > 1e3 * self.rel_tol:
-            raise NumericalError(
-                f"quadrature did not converge: residual panel error "
-                f"{self.worst:.2e} after {_MAX_ROUNDS} rounds")
-        return LogQuadResult(total, len(self.accepted) + len(self.lo),
-                             self.n_refine, self.worst)
-
 
 def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
                   ) -> list[LogQuadResult]:
@@ -155,8 +141,9 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
     each round evaluates the nodes of every unfinished integral in one call
     ``logf(xs, owner)``, where ``owner[i]`` is the index in `intervals` of the
     integral that node ``xs[i]`` belongs to.  The first round also evaluates
-    the initial panels.  An empty interval (b <= a) gives log 0; one whose
-    next round needs over `_MAX_PANELS` panels raises `NumericalError`.
+    the initial panels.  An empty interval (b <= a) gives log 0.  A result
+    meets `rel_tol` on every panel: a panel unresolved after `_MAX_ROUNDS`
+    rounds, or a next round over `_MAX_PANELS` panels, raises `NumericalError`.
     """
     for a, b in intervals:
         if not (np.isfinite(a) and np.isfinite(b)):
@@ -167,7 +154,7 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
             for j, (a, b) in enumerate(intervals) if b > a}
     for _ in range(_MAX_ROUNDS):
         if not live:
-            return results
+            break
         logs = iter(_group_log_integrals(
             logf, [g for j, quad in live.items() for g in quad.groups(j)]))
         for j, quad in list(live.items()):
@@ -175,8 +162,11 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
             if res is not None:
                 results[j] = res
                 del live[j]
-    for j, quad in live.items():
-        results[j] = quad.give_up()
+    if live:
+        raise NumericalError(
+            f"quadrature did not converge: "
+            f"{sum(len(q.lo) for q in live.values())} panel(s) unresolved "
+            f"after {_MAX_ROUNDS} rounds")
     return results
 
 
@@ -186,9 +176,9 @@ def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12
 
     Starting from `_FIRST_PANELS` equal panels, panels are bisected until
     each panel's two-half refinement changes the estimate by less than
-    ``rel_tol`` of the current total, for at most `_MAX_ROUNDS` rounds of
-    16-point Gauss-Legendre panels.  `logf` must be vectorized and may
-    return -inf.
+    ``rel_tol`` of the current total, in 16-point Gauss-Legendre panels.  A
+    panel still unresolved after `_MAX_ROUNDS` rounds raises
+    `NumericalError`.  `logf` must be vectorized and may return -inf.
 
     Parameters
     ----------

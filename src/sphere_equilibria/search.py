@@ -88,12 +88,8 @@ def _expected_count(params: ModelParams) -> float:
         return 2.0 * params.n
     try:
         return mean_total_exact(dp, params.n).value
-    except (DomainError, ParameterError):
-        pass
-    try:
+    except DomainError:  # odd N has no exact density
         return predict_asymptotic(dp, params.n).value
-    except (DomainError, ParameterError):
-        return 2.0 * params.n
 
 
 def default_n_starts(params: ModelParams) -> int:

@@ -426,6 +426,19 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert "non-saturated" in err["error"]["message"]
 
+    def test_band_edge_model_runs(self, tmp_path):
+        # alpha2 = -0.499999999 rounds Phi2(1) just below -Phi1(1); it is
+        # admissible, and its count runs like the one at alpha2 = -0.5
+        payload = {"kind": "mc-count", "instances": 2, "seed": 1,
+                   "model": {"n": 4, "j1": 0.0, "j2": 1.0,
+                             "alpha2": -0.499999999, "sigma": 0.5},
+                   "solver": {"n_starts": 50}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "summary.json") as fh:
+            assert math.isclose(json.load(fh)["predicted"], 3.889212828,
+                                rel_tol=1e-9)
+
     def test_spreadless_det_identity_lambda_exit_code(self, tmp_path, capsys):
         # at lam = 1e300 every draw gives the same |det|: no standard error
         payload = {"kind": "det-identity", "n": 2, "tau": 0.999999,

@@ -601,6 +601,11 @@ class TestDensityProfile:
         tail = rho_real_exact(EllipticParams(n, tau), lam_max * math.sqrt(n))
         assert tail < 1e-12 * rho_real_bulk(tau)
 
+    @pytest.mark.parametrize("tau", [-2.0, -1.0, 1.5])
+    def test_support_cutoff_rejects_invalid_tau(self, tau):
+        with pytest.raises(ParameterError, match="tau"):
+            support_lambda_max(8, tau)
+
     def test_monte_carlo_profile_matches_exact(self):
         self.check_profile(EllipticParams(4, -0.5))
 

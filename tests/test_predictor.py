@@ -110,6 +110,23 @@ class TestDerivedParams:
         assert dp.b2 == 5e199
         assert_allclose(mean_total_exact(dp, 4).value, 2.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha2,edge,j2", [(-0.499999999, -0.5, 1.0),
+                                                (-0.499999999, -0.5, 1e3),
+                                                (1.000000000226551, 1.0, 1.0)])
+    def test_band_edge_models_derive(self, alpha2, edge, j2):
+        # Phi2(1) meets each band edge quadratically in alpha2, so these
+        # models round just outside it; they are snapped onto the edge, and
+        # tau stays in [-1, 1] exactly
+        model = ModelParams(n=4, j1=0.0, j2=j2, alpha2=alpha2, sigma=0.5 * j2)
+        dp = derived_params(covariance_pair(model), model.sigma)
+        assert -1.0 < dp.tau <= 1.0
+        on_edge = ModelParams(n=4, j1=0.0, j2=j2, alpha2=edge,
+                              sigma=model.sigma)
+        want = mean_total_exact(derived_params(covariance_pair(on_edge),
+                                               on_edge.sigma), 4).value
+        assert math.isfinite(want)
+        assert_allclose(mean_total_exact(dp, 4).value, want, rtol=1e-8)
+
     def test_band_validation(self):
         with pytest.raises(ParameterError):
             DerivedParams.from_values(1.0, 2.0, 2.5, 0.0)
@@ -506,6 +523,25 @@ class TestRegimeRouting:
         pred = predict_asymptotic(dp, 20)
         assert pred.regime == "weak-nongradient"
         assert_allclose(pred.value, weak_nongradient(0.0, dp.b2, 20), rtol=1e-14)
+
+    def test_every_admissible_model_has_an_asymptote(self):
+        # the start budget falls back on this route at odd N with no further
+        # fallback, so at its sizes it must return for every DerivedParams
+        # that from_values accepts: band edges and the slack past them,
+        # b^2 = 1 (sigma = sigma_c), tau = 1 and sigma up to 1e100
+        for dphi1 in (1.0, 1.0 + 1e-12, 2.0, 5.0, 1e4 + 1.0):
+            sigma_c = math.sqrt(dphi1 - 1.0)
+            for phi2 in (-1.0 - 0.5e-12 * dphi1, -1.0, -1.0 + 1e-9, 0.0,
+                         0.5 * dphi1, dphi1 * (1.0 - 1e-9), dphi1,
+                         dphi1 * (1.0 + 0.5e-12)):
+                for sigma in (0.0, 1e-3, sigma_c, 1.0, 1e50, 1e100):
+                    try:
+                        dp = DerivedParams.from_values(1.0, dphi1, phi2, sigma)
+                    except (ParameterError, DomainError):
+                        continue
+                    for n in (2, 3, 5, 7, 11):
+                        pred = predict_asymptotic(dp, n)
+                        assert math.isfinite(pred.log_value) and pred.value > 0
 
     def test_phases(self):
         assert predict_asymptotic(dp_for(0.2, 1.8), 50).value == 2.0

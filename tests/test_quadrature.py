@@ -111,6 +111,19 @@ def test_non_convergence_raises(monkeypatch):
                       rel_tol=1e-30)
 
 
+def test_out_of_rounds_raises(monkeypatch):
+    # a jump resolved to 1e-11 in no panel count within 24 rounds: the panel
+    # straddling it is still 1e-9 off, so the call raises instead of
+    # returning a result that misses `rel_tol`
+    monkeypatch.setattr(quadrature, "_FIRST_PANELS", 2)
+
+    def logf(xs):
+        return np.where(xs < 1.0 / 3.0, 0.0, 30.0)
+
+    with pytest.raises(NumericalError, match="unresolved after 24 rounds"):
+        log_quad(logf, 0.0, 1.0, rel_tol=1e-11)
+
+
 def test_panel_bound_raises(monkeypatch):
     # an integrand that oscillates on a scale of 1e-9 fails every panel test,
     # so the panels double each round until one integral holds too many
