@@ -395,19 +395,27 @@ def _gauss_segment(u: float) -> float:
     return math.sqrt(math.pi) / (2.0 * u) * math.erf(u)
 
 
+def _log_weak_nongradient(u: float, b2: float, n: int) -> float:
+    """Log of `weak_nongradient`, finite where the count overflows."""
+    if not 0.0 <= u < math.inf:
+        raise DomainError(f"u must be finite and nonnegative, got {u}")
+    if not (0.0 < b2 < 1.0):
+        raise DomainError(f"weak non-gradient regime requires 0 < b^2 < 1, got {b2}")
+    return (math.log(4.0) - 0.5 * n * math.log(b2)
+            + 0.5 * math.log(2.0 * n * b2 / (math.pi * (1.0 - b2)))
+            + math.log(_gauss_segment(u)))
+
+
 def weak_nongradient(u: float, b2: float, n: int) -> float:
     """Mean count in the weakly non-gradient regime tau = 1 - u^2/N, b < 1.
 
     ``4 e^{N ln(1/b)} sqrt(2 N b^2 / (pi (1-b^2))) int_0^1 e^{-u^2 p^2} dp``,
     equivalent to the form in B = (1-b^2)/(1+b^2),
-    ``4 e^{(N/2) ln((1+B)/(1-B))} sqrt(N (1-B)/(pi B)) int_0^1 e^{-u^2 p^2} dp``.
+    ``4 e^{(N/2) ln((1+B)/(1-B))} sqrt(N (1-B)/(pi B)) int_0^1 e^{-u^2 p^2} dp``;
+    inf where the count overflows a float.
     """
-    if u < 0:
-        raise DomainError(f"u must be nonnegative, got {u}")
-    if not (0.0 < b2 < 1.0):
-        raise DomainError(f"weak non-gradient regime requires 0 < b^2 < 1, got {b2}")
-    return (4.0 * math.exp(-0.5 * n * math.log(b2))
-            * math.sqrt(2.0 * n * b2 / (math.pi * (1.0 - b2))) * _gauss_segment(u))
+    return CountPrediction.from_log(_log_weak_nongradient(u, b2, n),
+                                    "weak-nongradient", n).value
 
 
 def predict_asymptotic(dp: DerivedParams, n: int) -> CountPrediction:
@@ -425,8 +433,8 @@ def predict_asymptotic(dp: DerivedParams, n: int) -> CountPrediction:
         val = math.sqrt(n) * crossover_gamma(dp.tau, 0.0)
         return CountPrediction(val, math.log(val), "gamma-crossover", n)
     if dp.tau == 1.0 and dp.b2 < 1.0:
-        val = weak_nongradient(0.0, dp.b2, n)
-        return CountPrediction(val, math.log(val), "weak-nongradient", n)
+        return CountPrediction.from_log(_log_weak_nongradient(0.0, dp.b2, n),
+                                        "weak-nongradient", n)
     asym = asympt_fixed(dp)
     if asym.regime == "trivial":
         return CountPrediction(2.0, math.log(2.0), "fixed-asymptotic", n)

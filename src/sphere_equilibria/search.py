@@ -7,14 +7,17 @@ An equilibrium is a pair (x, lam) solving the bordered system
 All starts are advanced simultaneously: the batched (N+1)-dimensional Newton
 step uses the analytic field Jacobian plus the bordering row/column, damped by
 residual-monotone step halving.  Each row tries the step lengths t = 2^-k
-lazily, in the blocks of levels 0 (the full step), 1-2, 3-6 and 7-14
+lazily, in the blocks of levels 0 (the full step), 1-2 and 3-6
 (`_MAX_HALVINGS`), and leaves at the first block that holds a level passing
-the Armijo test.  The constraint term C = |x|^2 - N costs O(N) and
-bounds the residual from below, so a candidate whose |C| already fails the
-Armijo bound is rejected without evaluating the field.  Converged starts are
-deduplicated in start order within Euclidean distance 1e-6 sqrt(N) in x (lam
-is a function of x at a root), one vectorized pass per root, and a saturation
-heuristic flags instances whose discovery curve was still rising.
+the Armijo test; a row that passes none stalls out.  The cap trades about 5%
+of the converging starts, which shorter steps would still carry to a root,
+for half of the field evaluations.  The constraint term C = |x|^2 - N costs
+O(N) and bounds the residual from below, so a candidate whose |C| already
+fails the Armijo bound is rejected without evaluating the field.  Converged
+starts are deduplicated in start order within Euclidean distance
+1e-6 sqrt(N) in x (lam is a function of x at a root), one vectorized pass per
+root, and a saturation heuristic flags instances whose discovery curve was
+still rising.
 """
 
 from __future__ import annotations
@@ -43,14 +46,15 @@ __all__ = [
 _SATURATION_FRACTION = 0.25
 # Newton controls: max-norm residual of a converged start, iteration cap,
 # deepest halving level 2^-k of the line search, and largest N enumerated.
-# The halving cap ends the third doubling block (7-14): deeper levels serve
-# almost only starts that never converge.  On the 2,500 instances of
-# acceptance criterion 04 the levels 15-30 of a 2^-30 cap saved 1,982 of
-# 1,352,492 converging starts and changed no root count or saturation flag,
-# while on N = 4 instances they took about half of the field rows evaluated
+# The halving cap ends the second doubling block (3-6) and trades converging
+# starts for speed.  On the 2,500 instances of acceptance criterion 04 the
+# levels 7-14 of a 2^-14 cap carried 69,170 of 1,350,510 converging starts
+# (5.1%) to roots that other starts found too, changing no root count or
+# saturation flag, while on N = 4 instances they took about half of the field
+# rows evaluated; levels 15-30 add 1,982 more starts
 _TOL = 1e-10
 _MAX_ITER = 80
-_MAX_HALVINGS = 14
+_MAX_HALVINGS = 6
 _MAX_DIM = 10
 
 
@@ -194,13 +198,14 @@ def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
         delta = _solve_batch(a_mat, rhs)
 
         # damped update: trial steps t = 2^-k in the level blocks 0 (the full
-        # step), 1-2, 3-6 and 7-14 (capped at _MAX_HALVINGS); a row takes
-        # the first passing level of the first block that holds one.  Only
-        # block 0 and a cap-cut last block have one level, so only they give
-        # one-row candidate batches (of a lone row): numpy sends a one-row
-        # product to BLAS gemv, whose rounding differs from the gemm of every
-        # larger batch.  The field is evaluated only on candidates whose
-        # constraint term |C| is within the Armijo bound (`_system_residual`).
+        # step), 1-2, 3-6, 7-14, ... up to _MAX_HALVINGS, which may cut the
+        # last; a row takes the first passing level of the first block that
+        # holds one.  Only block 0 and a cap-cut last block have one level,
+        # so only they give one-row candidate batches (of a lone row): numpy
+        # sends a one-row product to BLAS gemv, whose rounding differs from
+        # the gemm of every larger batch.  The field is evaluated only on
+        # candidates whose constraint term |C| is within the Armijo bound
+        # (`_system_residual`).
         rem = np.arange(m)
         lo_level = hi_level = 0
         while rem.size and lo_level <= _MAX_HALVINGS:
@@ -220,8 +225,8 @@ def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
             rem = rem[~took]
             lo_level, hi_level = hi_level + 1, 2 * hi_level + 2
         # starts that cannot decrease the residual at any step size down to
-        # 2^-_MAX_HALVINGS stall out: a shorter step almost never leads a
-        # start to a root (see `_MAX_HALVINGS`)
+        # 2^-_MAX_HALVINGS stall out: a shorter step would save some of
+        # them, but not a root of their own (see `_MAX_HALVINGS`)
         active[idx[rem]] = False
     newly = active & (res <= _TOL)
     converged |= newly
@@ -268,17 +273,12 @@ def _dedup(xs: np.ndarray, radius: float) -> tuple[list[int], list[int]]:
 
 
 def _solve_batch(a_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched linear solve with a least-squares fallback on singular systems."""
+    """Batched solve of the bordered Newton systems; a batch holding an
+    exactly singular one raises `NumericalError`."""
     try:
         return np.linalg.solve(a_mat, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
-        for i in range(len(a_mat)):
-            try:
-                out[i] = np.linalg.solve(a_mat[i], rhs[i])
-            except np.linalg.LinAlgError:
-                out[i] = np.linalg.lstsq(a_mat[i], rhs[i], rcond=None)[0]
-        return out
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular bordered Newton system") from exc
 
 
 def tangent_spectrum_at(inst: FieldInstance, x: np.ndarray, lam: float
@@ -337,9 +337,9 @@ def mc_mean_count(params: ModelParams, n_instances: int,
     hash, so enlarging the study never changes earlier instances.  With
     `strict`, non-saturated instances are excluded from the statistics (they
     are always recorded).  When `lambda_edges` is given, counts are also
-    binned by the Lagrange multiplier of each root.  Instances are independent; `threads` > 1 solves
-    them on a thread pool with results merged in instance order, so the
-    output does not depend on scheduling.
+    binned by the Lagrange multiplier of each root.  Instances are
+    independent; `threads` > 1 solves them on a thread pool with results
+    merged in instance order, so the output does not depend on scheduling.
     """
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")

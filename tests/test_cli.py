@@ -405,10 +405,12 @@ class TestMainExitCodes:
         assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 0
 
     def test_far_trivial_newton_finds_no_roots(self, tmp_path, capsys):
-        # pins a known limit: at sigma = 1e8 the field and lam x are of size
-        # ~1e8, so the residual's rounding (~1e-8) stays above Newton's
-        # absolute tolerance of 1e-10 and no start converges; every rootless
-        # instance must count as unsaturated, never as a clean 0
+        # pins a known limit: at sigma = 1e8 no start converges.  Starts reach
+        # the h ray and stall there with |F|_inf about |C|, because the
+        # line search's merit max(|F|_inf, |C|) weighs F (of size sigma)
+        # against C (of size N) and no step passes its Armijo test; a
+        # tolerance relative to the field finds no root either.  Every
+        # rootless instance must count as unsaturated, never as a clean 0
         payload = {"kind": "mc-count", "model": {**MODEL4, "sigma": 1e8},
                    "instances": 3, "seed": 1}
         path = write_config(tmp_path, payload)
@@ -438,6 +440,22 @@ class TestMainExitCodes:
         with open(tmp_path / "o" / "summary.json") as fh:
             assert math.isclose(json.load(fh)["predicted"], 3.889212828,
                                 rel_tol=1e-9)
+
+    def test_gradient_sweep_past_the_float_range(self, tmp_path):
+        # b^2 = 5/8: the count 4 b^-N ... overflows a float at N = 3100; it
+        # reads inf with a finite log in both the exact and the asymptotic row
+        payload = {"kind": "predict-sweep",
+                   "model": {"j1": 1.0, "j2": 1.0, "alpha1": 1.0,
+                             "alpha2": 1.0},
+                   "sigma_grid": [0.0], "n_list": [3100]}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "predictions.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["regime"] for r in rows] == ["exact", "weak-nongradient"]
+        for r in rows:
+            assert r["value"] == "inf"
+            assert 733.9 < float(r["log_value"]) < 734.0
 
     def test_spreadless_det_identity_lambda_exit_code(self, tmp_path, capsys):
         # at lam = 1e300 every draw gives the same |det|: no standard error

@@ -498,8 +498,13 @@ class TestWeakNongradient:
     def test_domain(self):
         with pytest.raises(DomainError):
             weak_nongradient(1.0, 1.2, 20)
-        with pytest.raises(DomainError):
-            weak_nongradient(-1.0, 0.5, 20)
+        for u in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                weak_nongradient(u, 0.5, 20)
+
+    def test_overflows_to_inf(self):
+        # 4 b^-N ... at b^2 = 1/2, N = 3000 exceeds the float range
+        assert weak_nongradient(0.0, 0.5, 3000) == math.inf
 
 
 class TestRegimeRouting:
@@ -524,11 +529,11 @@ class TestRegimeRouting:
         assert pred.regime == "weak-nongradient"
         assert_allclose(pred.value, weak_nongradient(0.0, dp.b2, 20), rtol=1e-14)
 
-    def test_every_admissible_model_has_an_asymptote(self):
-        # the start budget falls back on this route at odd N with no further
-        # fallback, so at its sizes it must return for every DerivedParams
-        # that from_values accepts: band edges and the slack past them,
-        # b^2 = 1 (sigma = sigma_c), tau = 1 and sigma up to 1e100
+    @staticmethod
+    def admissible_grid():
+        """Every DerivedParams that from_values accepts on a grid of band
+        edges and the slack past them, b^2 = 1 (sigma = sigma_c), tau = 1
+        and sigma up to 1e100."""
         for dphi1 in (1.0, 1.0 + 1e-12, 2.0, 5.0, 1e4 + 1.0):
             sigma_c = math.sqrt(dphi1 - 1.0)
             for phi2 in (-1.0 - 0.5e-12 * dphi1, -1.0, -1.0 + 1e-9, 0.0,
@@ -536,12 +541,30 @@ class TestRegimeRouting:
                          dphi1 * (1.0 + 0.5e-12)):
                 for sigma in (0.0, 1e-3, sigma_c, 1.0, 1e50, 1e100):
                     try:
-                        dp = DerivedParams.from_values(1.0, dphi1, phi2, sigma)
+                        yield DerivedParams.from_values(1.0, dphi1, phi2,
+                                                        sigma)
                     except (ParameterError, DomainError):
                         continue
-                    for n in (2, 3, 5, 7, 11):
-                        pred = predict_asymptotic(dp, n)
-                        assert math.isfinite(pred.log_value) and pred.value > 0
+
+    def test_every_admissible_model_has_an_asymptote(self):
+        # the start budget falls back on this route at odd N with no further
+        # fallback, so at its sizes it must return for every admissible model
+        for dp in self.admissible_grid():
+            for n in (2, 3, 5, 7, 11):
+                pred = predict_asymptotic(dp, n)
+                assert math.isfinite(pred.log_value) and pred.value > 0
+
+    def test_every_regime_has_a_finite_log_at_large_n(self):
+        # a count past the float range reads inf, with a finite log; the
+        # gradient models (tau = 1, b^2 < 1) overflow from N ln(1/b^2)/2 > 709
+        regimes = set()
+        for dp in self.admissible_grid():
+            for n in (3100, 10**4, 10**6):
+                pred = predict_asymptotic(dp, n)
+                assert math.isfinite(pred.log_value) and pred.value > 0
+                regimes.add(pred.regime)
+        assert regimes == {"gamma-crossover", "weak-nongradient",
+                           "fixed-asymptotic"}
 
     def test_phases(self):
         assert predict_asymptotic(dp_for(0.2, 1.8), 50).value == 2.0

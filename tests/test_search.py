@@ -201,23 +201,27 @@ class TestPinnedOutputs:
     search, the batch-innermost field contraction and the vectorized dedup
     replaced their predecessors; all three must keep them bit for bit.
 
-    The halving cap of 2^-14 moved some of them, and they were re-recorded
-    there: the basin hits and converged starts of instances (4, 0.0, 11) and
-    (8, 0.0, 13), each one start or two that crawled to its root only through
-    shorter steps, and the `test_one_row_batches` digests, where a row that
-    stalls earlier leaves its partner a lone one-row batch.  No root count or
-    saturation flag moved, and with `_MAX_HALVINGS` set back to 30 every old
-    value returns."""
+    The halving caps moved some of them, and they were re-recorded at each:
+    at 2^-14 the basin hits and converged starts of instances (4, 0.0, 11)
+    and (8, 0.0, 13), and at 2^-6 those of all three instances and of both
+    `test_halving_cap_drops_one_converging_start` cases, the tangent-spectrum
+    digest and the `test_one_row_batches` digests.  A start that crawls to
+    its root only through shorter steps now stalls out: it drops from the
+    hits, it can no longer be the first start of its cluster (whose root is
+    the representative whose bits the digests hash), and a row that stalls
+    earlier leaves its partner a lone one-row batch.  No root count or
+    saturation flag moved, and with `_MAX_HALVINGS` set back to 14 every
+    value of the 2^-14 cap returns."""
 
     # sigma = 1.039... is sigma_c of this model
     INSTANCES = [(4, 0.0, 11), (4, 1.0392304845413265, 12), (8, 0.0, 13)]
 
     @pytest.mark.parametrize("n, sigma, seed, n_found, hits, n_conv", [
-        (4, 0.0, 11, 8, [95, 86, 62, 69, 162, 133, 56, 103], 766),
-        (4, 1.0392304845413265, 12, 4, [224, 78, 53, 81], 436),
-        (8, 0.0, 13, 14, [62, 63, 168, 110, 159, 133, 94, 133, 103, 132, 85,
-                          66, 111, 42], 1461),
-    ])
+        (4, 0.0, 11, 8, [88, 83, 59, 67, 152, 122, 54, 100], 725),
+        (4, 1.0392304845413265, 12, 4, [204, 74, 51, 80], 409),
+        (8, 0.0, 13, 14, [59, 60, 147, 95, 138, 119, 80, 104, 78, 113, 76, 58,
+                          90, 38], 1255),
+    ], ids=["4-0.0-11", "4-sigma_c-12", "8-0.0-13"])
     def test_counts_hits_and_saturation(self, n, sigma, seed, n_found, hits,
                                         n_conv):
         rep = pinned_report(n, sigma, seed)
@@ -233,20 +237,21 @@ class TestPinnedOutputs:
         for case in self.INSTANCES:
             for pt in pinned_report(*case).points:
                 h.update(pt.tangent_spectrum.tobytes())
-        assert h.hexdigest() == ("021834a19223cf7ff0ce09023ddbe68e"
-                                 "73e8358303ffbf0804aaa7aadbb40915")
+        assert h.hexdigest() == ("3b3b0d5f62b8cee9af8c083b786b8850"
+                                 "25cbca0ef340fe696befb3382cbaeda7")
 
     @pytest.mark.parametrize("mc_seed, i, sigma, budget, hits, n_conv", [
-        (903, 7, 1.5588457268119897, 788, [107, 62, 80, 61], 310),
-        (904, 458, 2.078460969082653, 623, [64, 20, 31, 47], 162),
+        (903, 7, 1.5588457268119897, 788, [105, 58, 76, 60], 299),
+        (904, 458, 2.078460969082653, 623, [64, 20, 29, 45], 158),
     ], ids=["903-7", "904-458"])
     def test_halving_cap_drops_one_converging_start(self, mc_seed, i, sigma,
                                                     budget, hits, n_conv):
-        # criterion 04's instances as `mc_mean_count` solves them: in each
-        # one start reaches a root only through a step below the halving cap
-        # (2^-35 in 903-7; in 904-458 a cap of 2^-30 still lets it through,
-        # to hits [64, 20, 32, 47] and 163 converged starts), so it stalls
-        # out; the roots stay
+        # criterion 04's instances as `mc_mean_count` solves them: some starts
+        # reach a root only through a step below the halving cap, so they
+        # stall out; the roots stay.  Deeper caps let them through: 903-7
+        # has hits [107, 62, 80, 61] and 310 converged starts at 2^-14 (its
+        # last crawler needs 2^-35), 904-458 [64, 20, 31, 47] and 162 at
+        # 2^-14 and [64, 20, 32, 47] and 163 at 2^-30
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=sigma)
         assert default_n_starts(p) == budget
         inst = sample_field(p, derive_seed(mc_seed, f"instance-{i}"))
@@ -257,10 +262,10 @@ class TestPinnedOutputs:
         assert rep.n_converged_starts == n_conv
         assert rep.saturated
 
-    @pytest.mark.parametrize("sigma_index", [2, 4])
+    @pytest.mark.parametrize("sigma_index", range(5))
     def test_halving_cap_keeps_counts(self, monkeypatch, sigma_index):
-        # ten criterion-04 instances at sigma_c and 2 sigma_c, solved at the
-        # shipped cap and at 2^-30: a shorter step may save a crawling start,
+        # ten criterion-04 instances at each sigma, solved at the shipped cap
+        # and at 2^-14 and 2^-30: a shorter step may save a crawling start,
         # never a root or the saturation flag
         model = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2)
         sigma_c = derived_params(covariance_pair(model), 0.0).sigma_c
@@ -274,11 +279,12 @@ class TestPinnedOutputs:
                                    derive_seed(mc_seed, f"starts-{i}"))
 
         shipped = [solve(i) for i in range(10)]
-        monkeypatch.setattr(search, "_MAX_HALVINGS", 30)
-        for rep, deep in zip(shipped, map(solve, range(10))):
-            assert rep.n_found == deep.n_found
-            assert rep.saturated == deep.saturated
-            assert rep.n_converged_starts <= deep.n_converged_starts
+        for cap in (14, 30):
+            monkeypatch.setattr(search, "_MAX_HALVINGS", cap)
+            for rep, deep in zip(shipped, map(solve, range(10))):
+                assert rep.n_found == deep.n_found
+                assert rep.saturated == deep.saturated
+                assert rep.n_converged_starts <= deep.n_converged_starts
 
     def test_three_halvings_small_budget(self, monkeypatch):
         # recorded before the constraint screen of the line search: with
@@ -320,10 +326,10 @@ class TestPinnedOutputs:
                     roots.update(pt.x.tobytes())
                     roots.update(np.float64(pt.lam).tobytes())
                     residuals.update(np.float64(pt.residual).tobytes())
-        assert roots.hexdigest() == ("c8a56a018cea90e006b100182065a5aa"
-                                     "8dae3670387f9a0706ed279a402580b2")
-        assert residuals.hexdigest() == ("41a3effbbbc43bf6ffb2b284546961af"
-                                         "9530f796f9433e3720433cf21d71f256")
+        assert roots.hexdigest() == ("26c665c6c14832856bab530a93db5f4a"
+                                     "2afbd3fffc99587a4aec9ebf6c583dbd")
+        assert residuals.hexdigest() == ("d9f520d464932d434fef62626db14bd6"
+                                         "4fd195ac5410f49e1d3355a91bdd16d9")
 
 
 def dedup_by_pairs(xs, radius):
@@ -432,6 +438,14 @@ class TestSystemResidual:
         p = ModelParams(n=4, j1=1, j2=1, alpha1=0.3, alpha2=0.2, sigma=0.5)
         with pytest.raises(ParameterError, match="finite"):
             find_equilibria(sample_field(p, 1), n_starts=20)
+
+
+class TestSolveBatch:
+    def test_singular_system_raises(self):
+        # [[1, 2], [2, 4]] eliminates to an exact zero pivot
+        a_mat = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], 3.0 * np.eye(2)])
+        with pytest.raises(NumericalError, match="singular"):
+            search._solve_batch(a_mat, np.ones((3, 2)))
 
 
 class TestStartBudget:
