@@ -359,12 +359,11 @@ def write_json(path: str, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: (typed config, master seed, threads, strict) -> artifacts
+# experiment bodies: (typed config, master seed, strict) -> artifacts
 # {file name: (header, rows) for a CSV or a dict for a JSON file}
 # ---------------------------------------------------------------------------
 
-def _run_predict_sweep(c: PredictSweep, seed: int, threads: int,
-                       strict: bool) -> dict:
+def _run_predict_sweep(c: PredictSweep, seed: int, strict: bool) -> dict:
     rows = []
     dps = [c.model.derived(sigma) for sigma in c.sigma_grid]
     for n in c.n_list:
@@ -379,7 +378,7 @@ def _run_predict_sweep(c: PredictSweep, seed: int, threads: int,
                              {"quadrature_rel_tol": _QUAD_REL_TOL}}}
 
 
-def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
+def _run_mc_count(c: MCCount, seed: int, strict: bool) -> dict:
     dp = pred = None
     if not c.model.field_free:
         try:
@@ -391,7 +390,7 @@ def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
     edges = np.linspace(-3.0 * scale, 3.0 * scale, c.lambda_bins + 1)
     result = mc_mean_count(c.model, c.instances, c.solver.n_starts,
                            seed=derive_seed(seed, "mc-count"),
-                           lambda_edges=edges, strict=strict, threads=threads)
+                           lambda_edges=edges, strict=strict)
 
     bins = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     expected = None if pred is None else mean_in_intervals(dp, c.model.n, bins)
@@ -426,7 +425,7 @@ def _run_mc_count(c: MCCount, seed: int, threads: int, strict: bool) -> dict:
     }
 
 
-def _run_spectra_validate(c: SpectraValidate, seed: int, threads: int,
+def _run_spectra_validate(c: SpectraValidate, seed: int,
                           strict: bool) -> dict:
     p = EllipticParams(c.n, c.tau)
     sqrt_n = math.sqrt(p.n)
@@ -467,8 +466,7 @@ def _run_spectra_validate(c: SpectraValidate, seed: int, threads: int,
     }
 
 
-def _run_det_identity(c: DetIdentity, seed: int, threads: int,
-                      strict: bool) -> dict:
+def _run_det_identity(c: DetIdentity, seed: int, strict: bool) -> dict:
     seed = derive_seed(seed, "det-identity")
     reps = [validate_det_identity(c.tau, c.n, lam, c.trials, seed)
             for lam in c.lambdas]
@@ -480,7 +478,7 @@ def _run_det_identity(c: DetIdentity, seed: int, threads: int,
                              "max_abs_z": max([0.0] + [abs(r.z) for r in reps])}}
 
 
-def _run_dynamics(c: Dynamics, seed: int, threads: int, strict: bool) -> dict:
+def _run_dynamics(c: Dynamics, seed: int, strict: bool) -> dict:
     inst = sample_field(c.model, derive_seed(seed, "dynamics-instance")
                         if c.instance_seed is None else c.instance_seed)
     report = find_equilibria(inst, c.solver.n_starts,
@@ -519,7 +517,7 @@ def _run_dynamics(c: Dynamics, seed: int, threads: int, strict: bool) -> dict:
     }
 
 
-def _run_transition_curve(c: TransitionCurve, seed: int, threads: int,
+def _run_transition_curve(c: TransitionCurve, seed: int,
                           strict: bool) -> dict:
     cov = covariance_pair(c.model)
     rows = []
@@ -534,7 +532,7 @@ def _run_transition_curve(c: TransitionCurve, seed: int, threads: int,
             res = mc_mean_count(replace(c.model, sigma=sigma), c.mc_instances,
                                 c.solver.n_starts,
                                 seed=derive_seed(seed, f"curve-{i}"),
-                                strict=strict, threads=threads)
+                                strict=strict)
             n_unsat += res.n_unsaturated
             row += [res.mean, res.stderr]
         else:
@@ -563,13 +561,13 @@ _EXPERIMENTS = {
 # runner
 # ---------------------------------------------------------------------------
 
-def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
+def run(cfg: ExperimentConfig, out_dir: str | None = None,
         strict: bool = False) -> tuple[int, dict]:
     """Execute a validated config; returns (exit code, manifest).  Artifacts
     are written once the body returns them all: a failed run writes none."""
     out = out_dir or f"{cfg.kind}-out"
     t0 = time.time()
-    artifacts = _EXPERIMENTS[cfg.kind][1](cfg.spec, cfg.seed, threads, strict)
+    artifacts = _EXPERIMENTS[cfg.kind][1](cfg.spec, cfg.seed, strict)
     for name, data in artifacts.items():
         if isinstance(data, dict):
             write_json(os.path.join(out, name), data)
@@ -607,7 +605,9 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, default=None,
                       help="override the master seed")
     runp.add_argument("--threads", type=int, default=1,
-                      help="worker threads for instance-parallel Monte Carlo")
+                      help="accepted only as 1, since every run is "
+                           "serial; kept until the benchmark runner stops "
+                           "passing it (ROADMAP item 1)")
     runp.add_argument("--out-dir", default=None, help="artifact directory")
     runp.add_argument("--strict", action="store_true",
                       help="exclude non-saturated Monte Carlo instances "
@@ -615,11 +615,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads != 1:
+            raise ParameterError("--threads accepts only 1 (every run is "
+                                 f"serial), got {args.threads}")
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        code, _ = run(cfg, out_dir=args.out_dir, threads=args.threads,
-                      strict=args.strict)
+        code, _ = run(cfg, out_dir=args.out_dir, strict=args.strict)
     except (ParameterError, DomainError) as exc:
         print(_error_json("config", exc))
         return 2

@@ -72,8 +72,13 @@ class Trajectory:
     constraint_drift: float
 
 
-def _check_start(inst: FieldInstance, x0: np.ndarray) -> np.ndarray:
+def _check_start(inst: FieldInstance, x0: np.ndarray, ndim: int) -> np.ndarray:
+    """`x0` as floats: one start (ndim 1) or a batch of starts (ndim 2) on
+    the sphere of the field's dimension."""
     x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != ndim:
+        raise ParameterError(f"start array must be {ndim}-D, got shape "
+                             f"{x0.shape}")
     if x0.shape[-1] != inst.n:
         raise ParameterError(f"start has dimension {x0.shape[-1]}, field {inst.n}")
     off = np.abs((x0 * x0).sum(axis=-1) / inst.n - 1.0)
@@ -106,7 +111,7 @@ def integrate(inst: FieldInstance, x0: np.ndarray, dt: float, t_end: float,
     """
     if dt <= 0 or t_end <= 0:
         raise ParameterError("dt and t_end must be positive")
-    x = _check_start(inst, x0).reshape(1, inst.n)
+    x = _check_start(inst, x0, 1).reshape(1, inst.n)
     steps = int(math.ceil(t_end / dt))
     times, states, lambdas = [], [], []
     drift = 0.0
@@ -166,7 +171,7 @@ def run_to_equilibrium_batch(inst: FieldInstance, x0s: np.ndarray,
     t_max = 8000.0 * dt if t_max is None else t_max
     if not t_max > 0:  # a nonpositive t_max would take no step at all
         raise ParameterError(f"t_max must be positive, got {t_max}")
-    x_end = _check_start(inst, x0s).copy()
+    x_end = _check_start(inst, x0s, 2).copy()
     t_done = np.full(len(x_end), np.nan)
     act = np.arange(len(x_end))  # rows still integrating, in row order
     x = x_end

@@ -11,13 +11,10 @@ lazily, in the blocks of levels 0 (the full step), 1-2 and 3-6
 (`_MAX_HALVINGS`), and leaves at the first block that holds a level passing
 the Armijo test; a row that passes none stalls out.  The cap trades about 5%
 of the converging starts, which shorter steps would still carry to a root,
-for half of the field evaluations.  The constraint term C = |x|^2 - N costs
-O(N) and bounds the residual from below, so a candidate whose |C| already
-fails the Armijo bound is rejected without evaluating the field.  Converged
-starts are deduplicated in start order within Euclidean distance
-1e-6 sqrt(N) in x (lam is a function of x at a root), one vectorized pass per
-root, and a saturation heuristic flags instances whose discovery curve was
-still rising.
+for a shorter search of the stalling ones.  Converged starts are
+deduplicated in start order within Euclidean distance 1e-6 sqrt(N) in x (lam
+is a function of x at a root), one vectorized pass per root, and a saturation
+heuristic flags instances whose discovery curve was still rising.
 """
 
 from __future__ import annotations
@@ -51,7 +48,9 @@ _SATURATION_FRACTION = 0.25
 # levels 7-14 of a 2^-14 cap carried 69,170 of 1,350,510 converging starts
 # (5.1%) to roots that other starts found too, changing no root count or
 # saturation flag, while on N = 4 instances they took about half of the field
-# rows evaluated; levels 15-30 add 1,982 more starts
+# rows evaluated (measured with a constraint screen, since deleted, that
+# skipped the field of candidates whose |C| alone failed the Armijo test);
+# levels 15-30 add 1,982 more starts
 _TOL = 1e-10
 _MAX_ITER = 80
 _MAX_HALVINGS = 6
@@ -102,45 +101,22 @@ def default_n_starts(params: ModelParams) -> int:
     return int(min(max(budget, 64), 10_000))
 
 
-def _system_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray,
-                     bound=np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _system_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, C, max-norm residual) of the equilibrium system, batched.
 
-    The residual max(|F|_inf, |C|) is at least |C|, so a row whose |C| alone
-    exceeds `bound` cannot meet ``res <= bound``: it gets res = |C| and an
-    unset F row, and its field is not evaluated.  A non-finite C is always
-    evaluated, so that non-finite points still raise in `eval_field`.  A lone
-    survivor of a larger batch is evaluated padded to two rows: numpy sends a
-    one-row product to BLAS gemv, whose rounding differs from the gemm that
-    evaluates it in any larger batch.
+    F = h + f(x) - lam x and C = |x|^2 - N.  The residual max(|F|_inf, |C|) is
+    a running maximum of |F| over the N columns into |C|: it is exact, so it
+    equals ``np.maximum(np.abs(F).max(-1), np.abs(C))`` bit for bit, NaN rows
+    included, and takes less time.
     """
     c = (x * x).sum(axis=-1) - inst.n
     res = np.abs(c)
-    live = np.flatnonzero(~(res > bound) | ~np.isfinite(c))
-    if live.size == len(c):
-        return _field_residual(inst, x, lam, res), c, res
-    f = np.empty_like(x)
-    if live.size:
-        rows = live if live.size > 1 else live.repeat(2)
-        res_rows = res[rows]
-        f[live] = _field_residual(inst, x[rows], lam[rows],
-                                  res_rows)[:live.size]
-        res[live] = res_rows[:live.size]
-    return f, c, res
-
-
-def _field_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray,
-                    res: np.ndarray) -> np.ndarray:
-    """F = h + f(x) - lam x; folds |F|_inf into `res` (holding |C|) in place.
-
-    The running maximum over the N columns is exact, so it equals
-    ``np.maximum(np.abs(F).max(-1), res)`` bit for bit, NaN rows included.
-    """
     f = inst.drift(x) - lam[..., None] * x
     abs_f = np.abs(f)
     for k in range(f.shape[-1]):
         np.maximum(res, abs_f[..., k], out=res)
-    return f
+    return f, c, res
 
 
 def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
@@ -203,9 +179,7 @@ def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
         # holds one.  Only block 0 and a cap-cut last block have one level,
         # so only they give one-row candidate batches (of a lone row): numpy
         # sends a one-row product to BLAS gemv, whose rounding differs from
-        # the gemm of every larger batch.  The field is evaluated only on
-        # candidates whose constraint term |C| is within the Armijo bound
-        # (`_system_residual`).
+        # the gemm of every larger batch.
         rem = np.arange(m)
         lo_level = hi_level = 0
         while rem.size and lo_level <= _MAX_HALVINGS:
@@ -214,9 +188,9 @@ def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
             cand_x = (xa[rem, None] + tgrid[:, None] * delta[rem, None, :n]
                       ).reshape(-1, n)
             cand_l = (la[rem, None] + tgrid * delta[rem, None, n]).ravel()
-            bound = ((1.0 - 1e-4 * tgrid) * ra[rem, None]).ravel()
-            fc, cc, rc = _system_residual(inst, cand_x, cand_l, bound)
-            ok = (rc <= bound).reshape(rem.size, -1)
+            armijo = ((1.0 - 1e-4 * tgrid) * ra[rem, None]).ravel()
+            fc, cc, rc = _system_residual(inst, cand_x, cand_l)
+            ok = (rc <= armijo).reshape(rem.size, -1)
             took = ok.any(axis=1)
             pick = np.flatnonzero(took) * len(tgrid) + ok[took].argmax(axis=1)
             rows = idx[rem[took]]
@@ -327,8 +301,7 @@ class MCCountResult:
 
 def mc_mean_count(params: ModelParams, n_instances: int,
                   n_starts: int | None = None, seed: int = 0,
-                  lambda_edges=None, strict: bool = False,
-                  threads: int = 1) -> MCCountResult:
+                  lambda_edges=None, strict: bool = False) -> MCCountResult:
     """Average equilibrium count over independent field instances.
 
     Every instance gets `n_starts` Newton starts (None: one
@@ -337,17 +310,19 @@ def mc_mean_count(params: ModelParams, n_instances: int,
     hash, so enlarging the study never changes earlier instances.  With
     `strict`, non-saturated instances are excluded from the statistics (they
     are always recorded).  When `lambda_edges` is given, counts are also
-    binned by the Lagrange multiplier of each root.  Instances are
-    independent; `threads` > 1 solves them on a thread pool with results
-    merged in instance order, so the output does not depend on scheduling.
+    binned by the Lagrange multiplier of each root; the edges must be at
+    least two finite values, strictly increasing.
     """
     if n_instances < 1:
         raise ParameterError("n_instances must be >= 1")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    edges = None if lambda_edges is None else np.asarray(lambda_edges, float)
+    if edges is not None and not (edges.ndim == 1 and len(edges) >= 2
+                                  and np.all(np.isfinite(edges))
+                                  and np.all(np.diff(edges) > 0)):
+        raise ParameterError("lambda_edges must be at least two finite "
+                             f"values, strictly increasing: {edges.tolist()}")
     if n_starts is None:
         n_starts = default_n_starts(params)
-    edges = None if lambda_edges is None else np.asarray(lambda_edges, float)
 
     counts = np.empty(n_instances)
     saturated = np.empty(n_instances, dtype=bool)
@@ -355,18 +330,9 @@ def mc_mean_count(params: ModelParams, n_instances: int,
                       for i in range(n_instances)]
     hist = None if edges is None else np.zeros((n_instances, len(edges) - 1))
 
-    def solve_one(i: int) -> CountReport:
-        inst = sample_field(params, instance_seeds[i])
-        return find_equilibria(inst, n_starts, derive_seed(seed, f"starts-{i}"))
-
-    if threads > 1:
-        # imported here: a serial run need not load the pool and its logging
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(solve_one, range(n_instances)))
-    else:
-        reports = map(solve_one, range(n_instances))
-    for i, rep in enumerate(reports):
+    for i, inst_seed in enumerate(instance_seeds):
+        rep = find_equilibria(sample_field(params, inst_seed), n_starts,
+                              derive_seed(seed, f"starts-{i}"))
         counts[i] = rep.n_found
         saturated[i] = rep.saturated
         if hist is not None:

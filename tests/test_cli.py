@@ -505,15 +505,38 @@ class TestMainExitCodes:
         assert code == 4
 
     def test_zero_threads_exit_code(self, tmp_path, capsys):
+        # every run is serial: --threads is kept only as the value 1 that
+        # the benchmark runner passes, and any other value is a config error
         payload = {"kind": "mc-count", "instances": 2,
                    "model": {"n": 4, "j1": 1.0, "sigma": 1.0},
                    "solver": {"n_starts": 10}}
         path = write_config(tmp_path, payload)
-        code = main(["run", path, "--out-dir", str(tmp_path / "o"),
-                     "--threads", "0"])
-        assert code == 2
-        err = json.loads(capsys.readouterr().out)
-        assert "threads" in err["error"]["message"]
+        for threads in ("0", "2"):
+            code = main(["run", path, "--out-dir", str(tmp_path / "o"),
+                         "--threads", threads])
+            assert code == 2
+            err = json.loads(capsys.readouterr().out)
+            assert err["error"]["type"] == "config"
+            assert "threads" in err["error"]["message"]
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_threads_one_is_the_benchmark_argv(self, tmp_path):
+        # the argv the benchmark runner sends its CLI children
+        payload = {"kind": "mc-count", "instances": 2,
+                   "model": {"n": 4, "j1": 1.0, "j2": 1.0, "sigma": 1.0},
+                   "solver": {"n_starts": 10}}
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--seed", "3", "--threads", "1",
+                     "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["run", path, "--seed", "3",
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        names.remove("manifest.json")  # timestamps and wall time
+        assert names
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
     def test_seed_override(self, tmp_path):
         payload = {"kind": "det-identity", "n": 4, "tau": 0.0,

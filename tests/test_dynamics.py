@@ -162,6 +162,19 @@ class TestRunToEquilibrium:
         with pytest.raises(ParameterError, match="positive"):
             run_to_equilibrium_batch(inst, x0, **opts)
 
+    def test_integrate_rejects_a_batch_of_starts(self):
+        # a (2, N) start used to fail in numpy's reshape with a ValueError
+        inst = sample_field(ModelParams(n=4, j1=1, j2=1, sigma=1.0), 1)
+        x0 = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+        with pytest.raises(ParameterError, match="1-D"):
+            integrate(inst, x0, dt=0.01, t_end=0.1)
+
+    def test_batch_rejects_a_single_start(self):
+        # a 1-D batch used to fail with numpy's AxisError
+        inst = sample_field(ModelParams(n=4, j1=1, j2=1, sigma=1.0), 1)
+        with pytest.raises(ParameterError, match="2-D"):
+            run_to_equilibrium_batch(inst, np.array([2.0, 0.0, 0.0, 0.0]))
+
 
 # run_to_equilibrium_batch on 12 starts at sigma_c, recorded before the RK4
 # loop was shared with `integrate`: (converged, t, lam, v_norm, matched).

@@ -5,6 +5,7 @@ fail at ``from ... import *`` time; this test makes it fail here.
 """
 
 import importlib
+import inspect
 import pkgutil
 from dataclasses import fields
 
@@ -50,3 +51,9 @@ def test_one_public_name_per_job():
     for name in ("DensityProfile", "sample_elliptic", "hermite_tau",
                  "run_to_equilibrium", "SolverOptions", "DynamicsOptions"):
         assert not any(hasattr(m, name) for m in MODULES), name
+    # every count runs serially and the line search evaluates every
+    # candidate: no thread pool and no constraint screen
+    for fn in (search.mc_mean_count, cli.run):
+        assert "threads" not in inspect.signature(fn).parameters, fn
+    assert list(inspect.signature(search._system_residual).parameters) == [
+        "inst", "x", "lam"]
