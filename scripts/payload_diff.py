@@ -64,6 +64,10 @@ SMALL = {
                           "trials": 5000, "bins": 8}, 7),
     "det-identity": ({"kind": "det-identity", "n": 4, "tau": 0.5,
                       "lambdas": [0.0, 1.0], "trials": 2000}, 7),
+    # 9,000 draws cross the 4,096 and 8,192 batch boundaries, so a change
+    # to the Monte Carlo batch schedule shows here
+    "det-identity-batches": ({"kind": "det-identity", "n": 4, "tau": 0.5,
+                              "lambdas": [0.0, 1.0], "trials": 9000}, 7),
     "dynamics": ({"kind": "dynamics", "model": MODEL4, "starts": 20,
                   "t_max": 3.0}, 7),
     # no couplings: `default_dt` takes its field-free branch, sigma alone

@@ -39,10 +39,10 @@ from .elliptic import (EllipticParams, expected_counts_in_bins,
                        support_lambda_max)
 from .errors import DomainError, NumericalError, ParameterError
 from .field_model import ModelParams, covariance_pair, sample_field
-from .predictor import (_QUAD_REL_TOL, DerivedParams, derived_params,
-                        mean_in_intervals, mean_total_exact,
-                        mean_totals_exact, predict_asymptotic,
-                        validate_det_identity)
+from .predictor import (DerivedParams, derived_params, mean_in_intervals,
+                        mean_total_exact, mean_totals_exact,
+                        predict_asymptotic, validate_det_identity)
+from .quadrature import _REL_TOL
 from .search import find_equilibria, mc_mean_count
 
 
@@ -375,7 +375,7 @@ def _run_predict_sweep(c: PredictSweep, seed: int, strict: bool) -> dict:
     return {"predictions.csv": (["N", "tau", "b2", "sigma", "regime", "value",
                                  "log_value"], rows),
             "summary.json": {"rows": len(rows), "tolerances":
-                             {"quadrature_rel_tol": _QUAD_REL_TOL}}}
+                             {"quadrature_rel_tol": _REL_TOL}}}
 
 
 def _run_mc_count(c: MCCount, seed: int, strict: bool) -> dict:

@@ -81,6 +81,8 @@ def _check_start(inst: FieldInstance, x0: np.ndarray, ndim: int) -> np.ndarray:
                              f"{x0.shape}")
     if x0.shape[-1] != inst.n:
         raise ParameterError(f"start has dimension {x0.shape[-1]}, field {inst.n}")
+    if x0.size == 0:
+        raise ParameterError("a batch of starts needs at least one start")
     off = np.abs((x0 * x0).sum(axis=-1) / inst.n - 1.0)
     if off.max() > 1e-12:
         raise DomainError(f"start off the sphere: | |x|^2/N - 1 | = {off.max():.3e}")

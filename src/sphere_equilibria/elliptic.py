@@ -44,9 +44,10 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_DENSITY_REL_TOL = 1e-10
 # points per `_psi_hat_scan` pass in `log_rho_real_exact`
 _SCAN_CHUNK = 6144
+# matrices in one batch of `elliptic_batches`, each from its own stream
+_BATCH_SIZE = 4096
 # most matrix entries in one piece of `elliptic_batches` (512 matrices at n = 8)
 _PIECE_ENTRIES = 2 ** 15
 # elementwise erf/erfc from the C library; otypes lets them take empty arrays
@@ -109,21 +110,20 @@ def _elliptic_from_normals(p: EllipticParams, g: np.ndarray) -> np.ndarray:
     return s
 
 
-def elliptic_batches(p: EllipticParams, trials: int, seed: int,
-                     chunk: int = 4096):
+def elliptic_batches(p: EllipticParams, trials: int, seed: int):
     """The draw schedule of every Monte Carlo estimator in the package.
 
-    Draws `trials` matrices in batches of `chunk` (the last one shorter);
-    batch k comes from Philox stream k of `seed`, so an estimate is a pure
-    function of (p, trials, seed, chunk).  Each batch is drawn and yielded
+    Draws `trials` matrices in batches of `_BATCH_SIZE` (the last one
+    shorter); batch k comes from Philox stream k of `seed`, so an estimate is
+    a pure function of (p, trials, seed).  Each batch is drawn and yielded
     in consecutive pieces of at most `_PIECE_ENTRIES` matrix entries (one
     matrix at least).  A stream's consecutive draws are its one draw of the
     whole batch, bit for bit, so the pieces only bound the memory in use.
     """
     piece = max(1, _PIECE_ENTRIES // (p.n * p.n))
-    for k, start in enumerate(range(0, trials, chunk)):
+    for k, start in enumerate(range(0, trials, _BATCH_SIZE)):
         gen = stream(seed, k)
-        size = min(chunk, trials - start)
+        size = min(_BATCH_SIZE, trials - start)
         for done in range(0, size, piece):
             yield _elliptic_from_normals(
                 p, gen.standard_normal((min(piece, size - done), p.n, p.n)))
@@ -483,8 +483,7 @@ def expected_real_count(p: EllipticParams) -> float:
     """Integral of the exact density over the real line (even in x)."""
     lam_max = support_lambda_max(p.n, p.tau)
     xmax = lam_max * math.sqrt(p.n)
-    res = log_quad(lambda xs: log_rho_real_exact(p, xs), 0.0, xmax,
-                   rel_tol=_DENSITY_REL_TOL)
+    res = log_quad(lambda xs: log_rho_real_exact(p, xs), 0.0, xmax)
     return 2.0 * res.value
 
 
@@ -494,6 +493,5 @@ def expected_counts_in_bins(p: EllipticParams, edges: np.ndarray) -> np.ndarray:
     p.require_exact_density()
     edges = np.asarray(edges, dtype=float).tolist()
     res = log_quad_many(lambda xs, owner: log_rho_real_exact(p, xs),
-                        list(zip(edges[:-1], edges[1:])),
-                        rel_tol=_DENSITY_REL_TOL)
+                        list(zip(edges[:-1], edges[1:])))
     return np.array([r.value for r in res])

@@ -52,9 +52,6 @@ __all__ = [
 ]
 
 _EXCEPTIONAL_TOL = 1e-12
-# relative accuracy of the exact-count quadratures and of the crossover limits
-_QUAD_REL_TOL = 1e-12
-_CROSSOVER_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def _density_quads(p: EllipticParams, b2s: list[float],
         return (-0.5 * p.n * (lams * inv_widths[owner]) ** 2
                 + log_rho_real_exact(p, nodes * sqrt_n, weighted=False)[where])
 
-    return log_quad_many(log_integrand, intervals, rel_tol=_QUAD_REL_TOL)
+    return log_quad_many(log_integrand, intervals)
 
 
 def mean_totals_exact(dps: list[DerivedParams], n: int
@@ -257,7 +254,7 @@ def validate_det_identity(tau: float, n: int, lam: float, trials: int,
     rho_N(lam sqrt N)``.  Everything is accumulated in log space, so the
     ratio is finite for every lam with a finite lam sqrt(N).  A lam so far
     out that all draws give the same |det| to rounding has no standard error
-    and is rejected.  Draws follow `elliptic_batches` in batches of 8192.
+    and is rejected.  Draws follow `elliptic_batches`.
     """
     p = EllipticParams(n, tau)
     p.require_exact_density()
@@ -276,8 +273,7 @@ def validate_det_identity(tau: float, n: int, lam: float, trials: int,
     shift = x * np.eye(n - 1)
     logs = np.concatenate([
         np.linalg.slogdet(mats - shift)[1]
-        for mats in elliptic_batches(EllipticParams(n - 1, tau), trials, seed,
-                                     chunk=8192)])
+        for mats in elliptic_batches(EllipticParams(n - 1, tau), trials, seed)])
     m = logs.max()
     scaled = np.exp(logs - m)
     mean_scaled = float(scaled.mean())
@@ -348,7 +344,7 @@ def crossover_gamma(tau: float, gamma: float) -> float:
     def logf(lams: np.ndarray) -> np.ndarray:
         return 0.5 * gamma * (1.0 - lams * lams)
 
-    quad = log_quad(logf, 0.0, 1.0, rel_tol=_CROSSOVER_REL_TOL)
+    quad = log_quad(logf, 0.0, 1.0)
     return (4.0 * math.sqrt(1.0 / (2.0 * math.pi))
             * math.sqrt((1.0 + tau) / (1.0 - tau)) * quad.value)
 
@@ -384,7 +380,7 @@ def crossover_kappa(tau: float, kappa: float) -> float:
 
     lo = -(50.0 / kt + 4.0)
     hi = 0.5 * kt + 12.0
-    quad = log_quad(logf, lo, hi, rel_tol=_CROSSOVER_REL_TOL)
+    quad = log_quad(logf, lo, hi)
     return 4.0 * quad.value
 
 

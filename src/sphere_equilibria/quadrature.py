@@ -17,6 +17,8 @@ from .errors import NumericalError, ParameterError
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1]
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# most a panel's two-half refinement may move an integral, relative to it
+_REL_TOL = 1e-12
 # equal panels every integral starts from; bisection refines from there
 _FIRST_PANELS = 16
 # bisection rounds before an unresolved panel raises `NumericalError`
@@ -86,14 +88,13 @@ class LogQuadResult:
 class _Integral:
     """The panels of one integral between rounds of `log_quad_many`."""
 
-    def __init__(self, a: float, b: float, rel_tol: float):
+    def __init__(self, a: float, b: float):
         edges = np.linspace(a, b, _FIRST_PANELS + 1)
         self.lo, self.hi = edges[:-1], edges[1:]
         self.mid = None  # panel midpoints, set by `groups` for `step`
         self.parent = None  # panel log-integrals, once the first round ran
         self.accepted: list[float] = []
         self.n_refine = 0
-        self.rel_tol = rel_tol
 
     def groups(self, j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """This round's panels: the current ones in the first round, then
@@ -115,7 +116,7 @@ class _Integral:
             return LogQuadResult(-np.inf, len(self.lo) * 2, self.n_refine, 0.0)
         # panel discrepancy relative to the running total
         err = np.abs(np.exp(self.parent - total) - np.exp(children - total))
-        done = err <= self.rel_tol
+        done = err <= _REL_TOL
         self.accepted.extend(children[done].tolist())
         if np.all(done):
             return LogQuadResult(total, len(self.accepted), self.n_refine,
@@ -132,8 +133,7 @@ class _Integral:
         return None
 
 
-def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
-                  ) -> list[LogQuadResult]:
+def log_quad_many(logf, intervals) -> list[LogQuadResult]:
     """`log_quad` of one integrand family over each (a, b) of `intervals`.
 
     Every integral is refined exactly as `log_quad` refines it alone, with
@@ -142,7 +142,7 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
     ``logf(xs, owner)``, where ``owner[i]`` is the index in `intervals` of the
     integral that node ``xs[i]`` belongs to.  The first round also evaluates
     the initial panels.  An empty interval (b <= a) gives log 0.  A result
-    meets `rel_tol` on every panel: a panel unresolved after `_MAX_ROUNDS`
+    meets `_REL_TOL` on every panel: a panel unresolved after `_MAX_ROUNDS`
     rounds, or a next round over `_MAX_PANELS` panels, raises `NumericalError`.
     """
     for a, b in intervals:
@@ -150,7 +150,7 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
             raise ParameterError("log_quad requires finite bounds; truncate first")
     results = [LogQuadResult(-np.inf, 0, 0, 0.0) if b <= a else None
                for a, b in intervals]
-    live = {j: _Integral(a, b, rel_tol)
+    live = {j: _Integral(a, b)
             for j, (a, b) in enumerate(intervals) if b > a}
     for _ in range(_MAX_ROUNDS):
         if not live:
@@ -170,13 +170,12 @@ def log_quad_many(logf, intervals, *, rel_tol: float = 1e-12
     return results
 
 
-def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12
-             ) -> LogQuadResult:
+def log_quad(logf, a: float, b: float) -> LogQuadResult:
     """Integrate exp(logf) over [a, b], returning the log of the integral.
 
     Starting from `_FIRST_PANELS` equal panels, panels are bisected until
     each panel's two-half refinement changes the estimate by less than
-    ``rel_tol`` of the current total, in 16-point Gauss-Legendre panels.  A
+    `_REL_TOL` of the current total, in 16-point Gauss-Legendre panels.  A
     panel still unresolved after `_MAX_ROUNDS` rounds raises
     `NumericalError`.  `logf` must be vectorized and may return -inf.
 
@@ -187,6 +186,5 @@ def log_quad(logf, a: float, b: float, *, rel_tol: float = 1e-12
     a, b : float
         Finite integration bounds; b <= a gives log 0.
     """
-    (res,) = log_quad_many(lambda xs, owner: logf(xs), [(a, b)],
-                           rel_tol=rel_tol)
+    (res,) = log_quad_many(lambda xs, owner: logf(xs), [(a, b)])
     return res

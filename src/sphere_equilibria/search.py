@@ -20,6 +20,7 @@ heuristic flags instances whose discovery curve was still rising.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,13 @@ def _system_residual(inst: FieldInstance, x: np.ndarray, lam: np.ndarray
     return f, c, res
 
 
+def _positive_int(name: str, value) -> int:
+    """`value` as an int of at least 1; numpy integers pass, floats do not."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
                     seed: int = 0) -> CountReport:
     """Enumerate equilibria of one field instance.
@@ -136,10 +144,8 @@ def find_equilibria(inst: FieldInstance, n_starts: int | None = None,
     if inst.params.field_free and inst.params.sigma == 0.0:
         raise ParameterError("f = 0 and h = 0: every point of the sphere is "
                              "an equilibrium, enumeration is meaningless")
-    if n_starts is None:
-        n_starts = default_n_starts(inst.params)
-    if n_starts < 1:
-        raise ParameterError(f"n_starts must be >= 1, got {n_starts}")
+    n_starts = _positive_int("n_starts", default_n_starts(inst.params)
+                             if n_starts is None else n_starts)
     radius = 1e-6 * math.sqrt(n)
 
     x = sphere_points(seed, n_starts, n)
@@ -313,8 +319,7 @@ def mc_mean_count(params: ModelParams, n_instances: int,
     binned by the Lagrange multiplier of each root; the edges must be at
     least two finite values, strictly increasing.
     """
-    if n_instances < 1:
-        raise ParameterError("n_instances must be >= 1")
+    n_instances = _positive_int("n_instances", n_instances)
     edges = None if lambda_edges is None else np.asarray(lambda_edges, float)
     if edges is not None and not (edges.ndim == 1 and len(edges) >= 2
                                   and np.all(np.isfinite(edges))

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import sphere_equilibria
-from sphere_equilibria import predictor, quadrature
+from sphere_equilibria import quadrature
 from sphere_equilibria._rng import derive_seed
 from sphere_equilibria.cli import ExperimentConfig, main, parse_config, run
 from sphere_equilibria.errors import ParameterError
@@ -373,7 +373,7 @@ class TestMainExitCodes:
                                                        monkeypatch):
         # with no error tolerated, the panels keep failing until one
         # integral needs more than the panel bound
-        monkeypatch.setattr(predictor, "_QUAD_REL_TOL", 0.0)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 0.0)
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
         path = write_config(tmp_path, {**MINIMAL_SWEEP, "sigma_grid": [1e5]})
         assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 3

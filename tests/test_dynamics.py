@@ -175,6 +175,12 @@ class TestRunToEquilibrium:
         with pytest.raises(ParameterError, match="2-D"):
             run_to_equilibrium_batch(inst, np.array([2.0, 0.0, 0.0, 0.0]))
 
+    def test_batch_rejects_no_starts(self):
+        # an empty batch used to fail in a numpy reduction
+        inst = sample_field(ModelParams(n=4, j1=1, j2=1, sigma=1.0), 1)
+        with pytest.raises(ParameterError, match="at least one start"):
+            run_to_equilibrium_batch(inst, np.empty((0, 4)))
+
 
 # run_to_equilibrium_batch on 12 starts at sigma_c, recorded before the RK4
 # loop was shared with `integrate`: (converged, t, lam, v_norm, matched).

@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.special
 from numpy.testing import assert_allclose
 
-from sphere_equilibria import cli
+from sphere_equilibria import cli, elliptic
 from sphere_equilibria.elliptic import (EllipticParams, _erf, _erfc,
                                         _psi_hat_scan, elliptic_batches,
                                         expected_counts_in_bins,
@@ -214,13 +214,14 @@ class TestSampling:
         se = (x12 * x21).std(ddof=1) / math.sqrt(m)
         assert abs(cross - want_cross) < 3 * se
 
-    def test_batches_are_drawn_in_pieces(self):
-        # each batch of `chunk` draws (the last one shorter) is drawn in
-        # pieces of at most 2^15 entries, one matrix at least; the pieces
+    def test_batches_are_drawn_in_pieces(self, monkeypatch):
+        # each batch of `_BATCH_SIZE` draws (the last one shorter) is drawn
+        # in pieces of at most 2^15 entries, one matrix at least; the pieces
         # of a batch are its one draw from its stream, bit for bit
         for p, trials, chunk in ((EllipticParams(8, 0.3), 3000, 1200),
                                  (EllipticParams(200, -0.4), 5, 2)):
-            pieces = list(elliptic_batches(p, trials, 7, chunk))
+            monkeypatch.setattr(elliptic, "_BATCH_SIZE", chunk)
+            pieces = list(elliptic_batches(p, trials, 7))
             assert max(map(len, pieces)) == max(1, 2 ** 15 // p.n ** 2)
             batches = [sample_elliptic_batch(p, min(chunk, trials - start), 7, k)
                        for k, start in enumerate(range(0, trials, chunk))]
@@ -345,7 +346,7 @@ class TestExactDensity:
         val = expected_real_count(EllipticParams(4, 0.0))
         assert_allclose(val, math.sqrt(2) * 11 / 8, rtol=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 20, 100, 400])
+    @pytest.mark.parametrize("n", [2, 4, 8, 20, 100, 400, 1000, 1400])
     def test_gradient_normalization(self, n):
         # tau = 1 is the GOE, all of whose N eigenvalues are real
         assert_allclose(expected_real_count(EllipticParams(n, 1.0)), n,

@@ -13,7 +13,8 @@ import pytest
 
 import sphere_equilibria
 from sphere_equilibria import (CountPrediction, CountReport, FixedAsymptote,
-                               ModelParams, RunResult, Trajectory, cli, search)
+                               ModelParams, RunResult, Trajectory, cli,
+                               elliptic, predictor, quadrature, search)
 
 MODULES = [sphere_equilibria] + [
     importlib.import_module(f"sphere_equilibria.{info.name}")
@@ -57,3 +58,14 @@ def test_one_public_name_per_job():
         assert "threads" not in inspect.signature(fn).parameters, fn
     assert list(inspect.signature(search._system_residual).parameters) == [
         "inst", "x", "lam"]
+    # one quadrature tolerance and one Monte Carlo batch size, owned by
+    # their modules: no caller picks its own
+    for fn in (quadrature.log_quad, quadrature.log_quad_many):
+        assert "rel_tol" not in inspect.signature(fn).parameters, fn
+    assert "chunk" not in inspect.signature(
+        elliptic.elliptic_batches).parameters
+    assert quadrature._REL_TOL == 1e-12
+    for module, name in ((elliptic, "_DENSITY_REL_TOL"),
+                         (predictor, "_QUAD_REL_TOL"),
+                         (predictor, "_CROSSOVER_REL_TOL")):
+        assert not hasattr(module, name), name

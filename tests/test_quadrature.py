@@ -38,13 +38,13 @@ def fields(res):
 def test_lockstep_equals_separate_calls(first_panels, monkeypatch):
     monkeypatch.setattr(quadrature, "_FIRST_PANELS", first_panels)
     intervals = [(a, b) for _, a, b in FAMILY]
-    together = log_quad_many(family_logf, intervals, rel_tol=1e-12)
+    together = log_quad_many(family_logf, intervals)
     for (f, a, b), res in zip(FAMILY, together):
-        alone = log_quad(f, a, b, rel_tol=1e-12)
+        alone = log_quad(f, a, b)
         assert fields(res) == fields(alone)
     # order does not matter either
     rev = log_quad_many(lambda xs, owner: family_logf(xs, len(FAMILY) - 1 - owner),
-                        intervals[::-1], rel_tol=1e-12)
+                        intervals[::-1])
     assert [fields(r) for r in rev[::-1]] == [fields(r) for r in together]
 
 
@@ -75,7 +75,7 @@ def test_the_family_exercises_every_branch():
 
     for k, (f, a, b) in enumerate(FAMILY):
         calls.clear()
-        res = log_quad(counted(f), a, b, rel_tol=1e-12)
+        res = log_quad(counted(f), a, b)
         if k in (1, 2):  # the first round, then at least two refinements
             assert len(calls) >= 3 and res.n_refinements > 0
         if k == 3:
@@ -102,26 +102,27 @@ def test_one_scan_per_round(monkeypatch):
 def test_non_convergence_raises(monkeypatch):
     # a jump no bisection resolves to 1e-15 in 24 rounds
     monkeypatch.setattr(quadrature, "_FIRST_PANELS", 2)
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-30)
 
     def logf(xs):
         return np.where(xs < 1.0 / 3.0, 0.0, 30.0)
 
     with pytest.raises(NumericalError, match="did not converge"):
-        log_quad_many(lambda xs, owner: logf(xs), [(0.0, 1.0), (0.0, 0.5)],
-                      rel_tol=1e-30)
+        log_quad_many(lambda xs, owner: logf(xs), [(0.0, 1.0), (0.0, 0.5)])
 
 
 def test_out_of_rounds_raises(monkeypatch):
     # a jump resolved to 1e-11 in no panel count within 24 rounds: the panel
     # straddling it is still 1e-9 off, so the call raises instead of
-    # returning a result that misses `rel_tol`
+    # returning a result that misses `_REL_TOL`
     monkeypatch.setattr(quadrature, "_FIRST_PANELS", 2)
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-11)
 
     def logf(xs):
         return np.where(xs < 1.0 / 3.0, 0.0, 30.0)
 
     with pytest.raises(NumericalError, match="unresolved after 24 rounds"):
-        log_quad(logf, 0.0, 1.0, rel_tol=1e-11)
+        log_quad(logf, 0.0, 1.0)
 
 
 def test_panel_bound_raises(monkeypatch):

@@ -472,6 +472,25 @@ class TestStartBudget:
         with pytest.raises(ParameterError, match="n_starts"):
             find_equilibria(inst, n_starts=n_starts)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda inst, p: find_equilibria(inst, n_starts=2.5), "n_starts"),
+        (lambda inst, p: mc_mean_count(p, 2, n_starts=2.5), "n_starts"),
+        (lambda inst, p: mc_mean_count(p, 2.5, n_starts=10), "n_instances"),
+    ], ids=["find-n-starts", "mc-n-starts", "mc-n-instances"])
+    def test_non_integer_count_rejected(self, call, name):
+        # each used to raise a bare TypeError from numpy
+        p = ModelParams(n=4, j1=1.0, sigma=1.0)
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            call(sample_field(p, 3), p)
+
+    def test_numpy_integer_counts_accepted(self):
+        p = ModelParams(n=4, j1=1.0, sigma=1.0)
+        inst = sample_field(p, 3)
+        assert (find_equilibria(inst, n_starts=np.int64(10)).n_found
+                == find_equilibria(inst, n_starts=10).n_found)
+        a = mc_mean_count(p, np.int64(2), n_starts=np.int64(10))
+        assert np.array_equal(a.counts, mc_mean_count(p, 2, n_starts=10).counts)
+
 
 class TestMCCount:
     def test_deterministic(self):
